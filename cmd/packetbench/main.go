@@ -19,7 +19,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -91,6 +93,7 @@ type config struct {
 	traceSample string        // head-sampling rate, "1/N" (or N); "off" disables
 	traceTail   time.Duration // always keep journeys slower than this
 	flightPath  string        // flight-recorder dump path, written on aborts
+	cpuProfile  string        // host CPU profile (runtime/pprof) output path
 }
 
 func main() {
@@ -134,6 +137,7 @@ func main() {
 	flag.StringVar(&cfg.traceSample, "trace-sample", "1/64", "packet-journey head-sampling rate, \"1/N\" or N (keep every Nth packet's span tree); \"off\" keeps only the slow-packet tail")
 	flag.DurationVar(&cfg.traceTail, "trace-tail", 0, "always keep journeys of packets slower than this host latency, regardless of sampling (0 = reservoir of slowest only)")
 	flag.StringVar(&cfg.flightPath, "flight-dump", "", "arm the flight recorder and write a post-mortem ring dump (Chrome trace JSON) to this file when the run aborts")
+	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a host CPU profile of the run to this file (read it with go tool pprof)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "packetbench:", err)
@@ -329,6 +333,17 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
+	if cfg.cpuProfile != "" {
+		stop, err := startCPUProfile(cfg.cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, "packetbench: cpu profile:", err)
+			}
+		}()
+	}
 	// The registry exists only when something consumes it; a nil registry
 	// disables telemetry in the run engine at zero hot-path cost. A
 	// -trace-out run wants it too, for the histogram→span exemplar links.
@@ -460,7 +475,7 @@ func run(cfg config) error {
 		return describeVerifyError(err)
 	}
 	bench.Collector().CountPCs = cfg.annotate || cfg.profileOut != ""
-	if inj != nil {
+	if inj != nil && inj.NeedsTracer() {
 		bench.AddTracer(inj.Tracer())
 	}
 
@@ -538,6 +553,7 @@ func run(cfg config) error {
 			return err
 		}
 	}
+	reportLoop(os.Stderr, bench, engine)
 
 	s := stats.Summarize(records)
 	fmt.Printf("\n%s over %d packets\n", app.Name, s.Packets)
@@ -579,6 +595,33 @@ func run(cfg config) error {
 		}
 	}
 	return writeTraceOut(&cfg, tracer, reg, app.Name)
+}
+
+// startCPUProfile starts a host CPU profile (runtime/pprof) into path;
+// stop ends it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// reportLoop prints one stderr line when the loop that ran is not the
+// requested engine's own — a per-event observer (coverage, detail,
+// per-PC counts, an extra tracer) or the compiled tier's statistics
+// fallback forced the traced loop — so no run changes tier silently.
+func reportLoop(w io.Writer, b *core.Bench, engine core.EngineKind) {
+	if loop, why := b.Loop(); !loop.Natural(engine) {
+		fmt.Fprintf(w, "packetbench: -engine %s ran the %s loop (%s)\n", engine, loop, why)
+	}
 }
 
 // buildTracer arms the packet-journey tracer when any consumer of its
@@ -879,7 +922,7 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 		pool.SetBatchSize(cfg.batch)
 	}
 	for i := 0; i < pool.Cores(); i++ {
-		if inj != nil {
+		if inj != nil && inj.NeedsTracer() {
 			pool.Bench(i).AddTracer(inj.Tracer())
 		}
 		pool.Bench(i).Collector().CountPCs = cfg.profileOut != ""
@@ -952,6 +995,13 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 		}
 		return err
 	}
+	// Report from a core that ran packets: Loop reflects a core's latest
+	// packet, and every core is configured alike.
+	ran := pool.Bench(0)
+	for i := 1; i < pool.Cores() && ran.Processed() == 0; i++ {
+		ran = pool.Bench(i)
+	}
+	reportLoop(os.Stderr, ran, engine)
 	s := agg.Summary()
 	if s.Packets == 0 && s.Shed == 0 {
 		return fmt.Errorf("no packets to process")

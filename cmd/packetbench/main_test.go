@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/route"
@@ -259,5 +260,54 @@ func TestRunPoolObservability(t *testing.T) {
 	}
 	if _, err := os.Stat(cfg.profileOut + ".folded"); err != nil {
 		t.Errorf("pool folded output missing: %v", err)
+	}
+}
+
+// TestReportLoop pins the one-line notice printed when the loop that ran
+// is not the requested engine's own, and its silence otherwise.
+func TestReportLoop(t *testing.T) {
+	pkt := gen.Generate(gen.Profile{
+		Name: "looptest", Flows: 4, NewFlowProb: 0.1, TCP: 1,
+		Sizes: []gen.SizePoint{{Bytes: 64, Weight: 1}}, AddrBits: 8, Seed: 3,
+	}, 1)[0]
+	cases := []struct {
+		engine core.EngineKind
+		opts   core.Options
+		want   string
+	}{
+		{core.EngineThreaded, core.Options{}, ""},
+		{core.EngineInterpreter, core.Options{Coverage: true}, ""},
+		{core.EngineThreaded, core.Options{Coverage: true}, "packetbench: -engine threaded ran the traced loop (coverage)\n"},
+		{core.EngineCompiled, core.Options{}, "packetbench: -engine compiled ran the traced loop (compiled)\n"},
+	}
+	for _, tc := range cases {
+		opts := tc.opts
+		opts.Engine = tc.engine
+		b, err := core.New(apps.TSAApp(1), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.ProcessPacket(pkt); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		reportLoop(&out, b, tc.engine)
+		if out.String() != tc.want {
+			t.Errorf("%v %+v: printed %q, want %q", tc.engine, tc.opts, out.String(), tc.want)
+		}
+	}
+}
+
+// TestRunCPUProfile checks that -cpuprofile leaves a non-empty host
+// profile behind.
+func TestRunCPUProfile(t *testing.T) {
+	cfg := testConfig("tsa", "LAN", 200)
+	cfg.pool = 2
+	cfg.cpuProfile = filepath.Join(t.TempDir(), "cpu.prof")
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(cfg.cpuProfile); err != nil || fi.Size() == 0 {
+		t.Fatalf("cpu profile missing or empty: %v", err)
 	}
 }

@@ -72,7 +72,32 @@ func streamRun(t *testing.T, reader trace.Reader, limit int, ck *Checkpointer, a
 		}
 		agg.Add(&res.Record)
 	}, ck)
+	if err == nil {
+		requireSummaryLoop(t, pool)
+	}
 	return err
+}
+
+// requireSummaryLoop asserts that the pool's records came from block
+// summaries: every core that measured a packet ran it on an untraced
+// threaded loop, so the crash-only guarantees checked around it hold for
+// the loop records-mode runs actually take.
+func requireSummaryLoop(t testing.TB, pool *Pool) {
+	t.Helper()
+	ran := 0
+	for i := 0; i < pool.Cores(); i++ {
+		b := pool.Bench(i)
+		if b.Processed() == 0 {
+			continue
+		}
+		ran++
+		if loop, why := b.Loop(); (loop != LoopFast && loop != LoopFused) || why != ReasonRecords {
+			t.Errorf("core %d ran the %v loop (%s), want an untraced loop on block summaries", i, loop, why)
+		}
+	}
+	if ran == 0 {
+		t.Error("no core measured a packet")
+	}
 }
 
 // resumeEquivalence is the tentpole acceptance check: a run interrupted
@@ -342,6 +367,9 @@ func FuzzCheckpointResume(f *testing.F) {
 				}
 				agg.Add(&res.Record)
 			}, ck)
+			if err == nil && agg.Packets() > agg.Faulted() {
+				requireSummaryLoop(t, pool)
+			}
 			return err
 		}
 

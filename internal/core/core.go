@@ -145,6 +145,79 @@ func ParseEngine(s string) (EngineKind, error) {
 	return EngineThreaded, fmt.Errorf("core: unknown engine %q (want threaded, interp or compiled)", s)
 }
 
+// Loop identifies the dispatch loop that executed a bench's packets —
+// the effective tier, which can differ from the requested EngineKind:
+// the threaded engine runs its traced loop whenever a per-event observer
+// is attached, and the compiled engine falls back to that same loop
+// whenever statistics are collected.
+type Loop uint8
+
+// The dispatch loops.
+const (
+	// LoopInterp is the reference interpreter (vm.CPU.Run).
+	LoopInterp Loop = iota
+	// LoopTraced is the threaded engine's per-event traced loop.
+	LoopTraced
+	// LoopFast is the threaded engine's untraced loop over the plain,
+	// fully-checked translation.
+	LoopFast
+	// LoopFused is the threaded engine's untraced loop over the
+	// proof-guided translation.
+	LoopFused
+	// LoopCompiled is the compiled tier (untraced runs only).
+	LoopCompiled
+)
+
+// String returns the loop's report name.
+func (l Loop) String() string {
+	switch l {
+	case LoopInterp:
+		return "interp"
+	case LoopTraced:
+		return "traced"
+	case LoopFast:
+		return "fast"
+	case LoopFused:
+		return "fused"
+	case LoopCompiled:
+		return "compiled"
+	}
+	return fmt.Sprintf("loop?%d", int(l))
+}
+
+// Natural reports whether l is the loop engine e runs when nothing forces
+// another one: the interpreter for EngineInterpreter, an untraced
+// threaded loop for EngineThreaded, the compiled tier for EngineCompiled.
+func (l Loop) Natural(e EngineKind) bool {
+	switch e {
+	case EngineInterpreter:
+		return l == LoopInterp
+	case EngineCompiled:
+		return l == LoopCompiled
+	}
+	return l == LoopFast || l == LoopFused
+}
+
+// Reasons a bench runs the loop it does, as reported by Bench.Loop.
+const (
+	// ReasonRecords: records-mode statistics (no coverage, detail,
+	// per-PC counts or extra tracer) come from block summaries, so the
+	// threaded engine runs untraced.
+	ReasonRecords = "records"
+	// ReasonUntraced: statistics are detached (SetTracing(false)).
+	ReasonUntraced = "untraced"
+	// ReasonInterp: the interpreter was requested; it has one loop.
+	ReasonInterp = "interp"
+	// ReasonCompiled: the compiled tier takes the traced loop whenever
+	// statistics are collected.
+	ReasonCompiled = "compiled"
+	// The per-event observers that keep the traced loop.
+	ReasonExtraTracer = "extra-tracer"
+	ReasonCoverage    = "coverage"
+	ReasonDetail      = "detail"
+	ReasonCountPCs    = "countpcs"
+)
+
 // DefaultHotBlocks is how many top-ranked blocks from a recorded
 // profile the compiled engine pre-compiles at load time.
 const DefaultHotBlocks = 32
@@ -540,6 +613,18 @@ type Bench struct {
 	metrics      *runMetrics  // nil when telemetry is disabled
 	lane         *ptrace.Lane // nil when journey tracing is disabled
 
+	// tracer is what per-event runs attach: the collector, fanned out to
+	// the extra tracers when there are any.
+	tracer vm.Tracer
+	// tracing is false while SetTracing(false) has statistics detached.
+	tracing bool
+	// entries is the block-entry record records-mode runs on the
+	// threaded engine fill; nil for the interpreter.
+	entries *vm.EntryCounts
+	// loop and loopWhy are what selectLoop chose for the latest run.
+	loop    Loop
+	loopWhy string
+
 	// dirtyLen is the number of bytes at PacketBase that may hold
 	// non-zero data from the previous packet: the previous placement
 	// extent, widened by any store the application issued beyond it
@@ -609,7 +694,6 @@ func New(app *App, opts Options) (*Bench, error) {
 	col.Detail = opts.Detail
 	col.Coverage = opts.Coverage
 	col.KeepRecords = opts.KeepRecords
-	cpu.Tracer = col
 
 	var tprog *vm.Program
 	var cprog *vm.CompiledProgram
@@ -649,15 +733,21 @@ func New(app *App, opts Options) (*Bench, error) {
 	if policy.Policy == Retry && policy.MaxAttempts < 2 {
 		policy.MaxAttempts = 2
 	}
-	return &Bench{
+	b := &Bench{
 		app: app, prog: prog, mem: mem, cpu: cpu,
 		col: col, blocks: blocks, loader: loader,
 		engine: opts.Engine, tprog: tprog, cprog: cprog,
 		entry: entry, stepLimit: stepLimit,
+		tracer: col, tracing: true,
 		policy: policy, budget: newErrorBudget(policy.ErrorBudget),
 		reg: opts.Metrics, metrics: newRunMetrics(opts.Metrics),
 		lane: opts.Trace.Lane(0),
-	}, nil
+	}
+	if tprog != nil {
+		b.entries = vm.NewEntryCounts(tprog)
+	}
+	b.selectLoop()
+	return b, nil
 }
 
 // Metrics returns the telemetry registry the bench reports into (nil
@@ -666,6 +756,63 @@ func (b *Bench) Metrics() *telemetry.Registry { return b.reg }
 
 // Engine returns the execution engine the bench was built with.
 func (b *Bench) Engine() EngineKind { return b.engine }
+
+// Loop reports the dispatch loop the bench's latest packet ran on and
+// why (one of the Reason constants). Before the first packet it reports
+// the choice New made.
+func (b *Bench) Loop() (Loop, string) { return b.loop, b.loopWhy }
+
+// selectLoop is the one place that decides which loop the next run
+// executes on, and wires the simulator and collector for it. It runs
+// before every attempt, so collector flags set after New (CountPCs,
+// Coverage, Detail) and tracers added later take effect on the next
+// packet.
+func (b *Bench) selectLoop() {
+	b.loop, b.loopWhy = b.pickLoop()
+	switch {
+	case !b.tracing:
+		b.cpu.Tracer, b.cpu.Entries = nil, nil
+		b.col.UseSummaries(nil)
+	case b.loopWhy == ReasonRecords:
+		b.cpu.Tracer, b.cpu.Entries = nil, b.entries
+		b.col.UseSummaries(b.entries)
+	default:
+		b.cpu.Tracer, b.cpu.Entries = b.tracer, nil
+		b.col.UseSummaries(nil)
+	}
+}
+
+// pickLoop maps the engine, the live collector mode and the attached
+// tracers to a loop. Records mode — no coverage, detail, per-PC counts
+// or extra tracer — is the only mode block summaries can serve; every
+// other mode needs per-instruction events and keeps the traced loop.
+func (b *Bench) pickLoop() (Loop, string) {
+	if b.tprog == nil {
+		return LoopInterp, ReasonInterp
+	}
+	untraced := LoopFast
+	if b.tprog.Fused() {
+		untraced = LoopFused
+	}
+	c := b.col
+	switch {
+	case !b.tracing && b.cprog != nil:
+		return LoopCompiled, ReasonUntraced
+	case !b.tracing:
+		return untraced, ReasonUntraced
+	case b.engine == EngineCompiled:
+		return LoopTraced, ReasonCompiled
+	case len(b.extraTracers) > 0:
+		return LoopTraced, ReasonExtraTracer
+	case c.Coverage:
+		return LoopTraced, ReasonCoverage
+	case c.Detail:
+		return LoopTraced, ReasonDetail
+	case c.CountPCs:
+		return LoopTraced, ReasonCountPCs
+	}
+	return untraced, ReasonRecords
+}
 
 // TranslationStats reports what the proof-guided translator did with
 // this program: fused superinstruction pairs, unchecked memory micro-ops
@@ -804,6 +951,7 @@ func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.
 			bt.BeginPacket(idx)
 		}
 	}
+	b.selectLoop()
 	b.col.BeginPacket()
 	err := b.runGuarded()
 	// Even a faulting run may have dirtied the buffer past the packet's
@@ -822,13 +970,13 @@ func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.
 		if f != nil {
 			fk = uint8(f.Kind) + 1
 		}
-		b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.engine), 0, 0, fk)
+		b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.loop), 0, 0, fk)
 		return Result{}, f, fmt.Errorf("core: %s: packet %d: %w", b.app.Name, idx, err)
 	}
 	rec := b.col.EndPacket()
 	b.processed++
 	verdict := b.cpu.Reg(isa.A0)
-	b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.engine), rec.Instructions, verdict, 0)
+	b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.loop), rec.Instructions, verdict, 0)
 	if b.metrics != nil {
 		d := uint64(time.Since(start))
 		if b.lane != nil {
@@ -903,21 +1051,17 @@ func (b *Bench) CompiledStats() vm.CompiledStats {
 // simulator speed but produce empty packet records; the tracer-overhead
 // ablation uses this.
 func (b *Bench) SetTracing(enabled bool) {
-	if !enabled {
-		b.cpu.Tracer = nil
-		return
-	}
-	if len(b.extraTracers) == 0 {
-		b.cpu.Tracer = b.col
-		return
-	}
-	b.cpu.Tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))
+	b.tracing = enabled
+	b.selectLoop()
 }
 
 // AddTracer attaches an additional tracer (for example a
-// microarch.Profiler) alongside the workload collector.
+// microarch.Profiler) alongside the workload collector, and attaches
+// statistics if SetTracing(false) had detached them. Every run of a
+// bench with an extra tracer takes the per-event traced loop.
 func (b *Bench) AddTracer(t vm.Tracer) {
 	b.extraTracers = append(b.extraTracers, t)
+	b.tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))
 	b.SetTracing(true)
 }
 

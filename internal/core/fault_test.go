@@ -131,6 +131,45 @@ func TestSkipPolicyEquivalence(t *testing.T) {
 	}
 }
 
+// TestReaderFaultsUnderBlockSummaries drives the reader-surface fault
+// kinds — a flipped byte, a truncated capture, transient read errors —
+// through a skip-policy pool. They need no tracer, so the run stays on
+// the block-summary path: the flipped packet quarantines, the truncated
+// one runs, and every other record matches a clean run's exactly.
+func TestReaderFaultsUnderBlockSummaries(t *testing.T) {
+	const n = 24
+	pkts := derefPackets(n)
+	run := func(pool *Pool, r trace.Reader) []stats.PacketRecord {
+		t.Helper()
+		records := make([]stats.PacketRecord, n)
+		if _, err := pool.RunTrace(r, 0, func(i int, res Result) { records[i] = res.Record }); err != nil {
+			t.Fatal(err)
+		}
+		requireSummaryLoop(t, pool)
+		return records
+	}
+	clean := run(poolWithPlan(t, 2, Options{}, nil), trace.NewSliceReader(pkts))
+
+	inj := mustPlan(t, "flip@2:1,trunc@7:20,readerr@9,readerr@15:2")
+	if inj.NeedsTracer() {
+		t.Fatal("a reader-surface plan asks for the execution tracer")
+	}
+	pool := poolWithPlan(t, 2, Options{Errors: ErrorPolicy{Policy: SkipAndRecord, ErrorBudget: 8}}, inj)
+	pool.SetBatchSize(2)
+	faulty := run(pool, inj.Reader(trace.NewSliceReader(pkts)))
+	if faulty[2].Fault != vm.FaultUnmapped || faulty[2].Index != 2 {
+		t.Errorf("packet 2 record = %+v, want a FaultUnmapped quarantine", faulty[2])
+	}
+	for i := range faulty {
+		if i == 2 || i == 7 {
+			continue
+		}
+		if !reflect.DeepEqual(faulty[i], clean[i]) {
+			t.Errorf("packet %d record differs from the clean run:\nfaulty: %+v\nclean:  %+v", i, faulty[i], clean[i])
+		}
+	}
+}
+
 func TestSkipPolicyErrorBudget(t *testing.T) {
 	b, err := New(derefApp(), Options{Errors: ErrorPolicy{Policy: SkipAndRecord, ErrorBudget: 1}})
 	if err != nil {

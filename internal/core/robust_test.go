@@ -12,14 +12,15 @@ import (
 	"repro/internal/vm"
 )
 
-// poolWithPlan builds a pool with the injector's tracer on every core.
+// poolWithPlan builds a pool with the injector's tracer on every core
+// when the plan needs one, as cmd/packetbench attaches it.
 func poolWithPlan(t *testing.T, cores int, opts Options, inj *faultinject.Injector) *Pool {
 	t.Helper()
 	pool, err := NewPool(derefApp(), cores, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj != nil {
+	if inj != nil && inj.NeedsTracer() {
 		for i := 0; i < pool.Cores(); i++ {
 			pool.Bench(i).AddTracer(inj.Tracer())
 		}

@@ -295,6 +295,22 @@ func (r *resolved) applyPacket(p *trace.Packet) *trace.Packet {
 	return p
 }
 
+// NeedsTracer reports whether the plan holds an execution-surface
+// injection (VMFault, WorkerPanic, Delay, Stall), the kinds that fire
+// from inside the instruction stream and so need Tracer attached. A plan
+// of only packet- and reader-surface kinds (FlipByte, Truncate,
+// ClampLen, ReadErr) and checkpoint tears leaves the run engine free to
+// keep its untraced loops.
+func (inj *Injector) NeedsTracer() bool {
+	for _, in := range inj.plan {
+		switch in.Kind {
+		case VMFault, WorkerPanic, Delay, Stall:
+			return true
+		}
+	}
+	return false
+}
+
 // Tracer returns a vm.Tracer for one core. The run engine must call
 // BeginPacket with the trace index before each packet executes; when the
 // plan holds an execution-surface fault for that index, the tracer fires

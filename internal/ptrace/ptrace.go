@@ -96,7 +96,9 @@ type Event struct {
 	Mark bool
 	// Attempt numbers the execution attempt (0 = first).
 	Attempt uint8
-	// Engine is the core.EngineKind ordinal for exec events.
+	// Engine is the core.Loop ordinal for exec events: the dispatch loop
+	// that actually ran the attempt (interp, traced, fast, fused or
+	// compiled), not the engine that was requested.
 	Engine uint8
 	// Fault is the vm.FaultKind ordinal that ended a failed attempt
 	// (offset by one: 0 means no fault, k+1 means kind k).

@@ -2,6 +2,7 @@ package staticcheck_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/staticcheck"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -180,7 +182,10 @@ ok:
 // elision, folding, fusion) from the verifier's entry under the
 // framework ABI must be bit-identical in every observable. This is the
 // soundness contract end-to-end — a wrong fact shows up here as an
-// engine divergence. CI runs this as a short -fuzz smoke.
+// engine divergence. The statistics record must match too: the
+// interpreter's per-instruction collector record against the record the
+// collector derives from block summaries on the optimized body's
+// untraced loop. CI runs this as a short -fuzz smoke.
 func FuzzFactsEngineDiff(f *testing.F) {
 	for _, s := range asm.FuzzSeeds {
 		f.Add(s)
@@ -194,10 +199,10 @@ func FuzzFactsEngineDiff(f *testing.F) {
 		}
 		layout := core.LayoutFor(prog, 1<<20)
 		_, facts := staticcheck.VerifyWithFacts(prog, staticcheck.Options{Layout: layout})
-		tp := vm.TranslateWithFacts(prog.Text, prog.TextBase,
-			analysis.NewBlockMap(prog.Text, prog.TextBase), facts.Translation())
+		blocks := analysis.NewBlockMap(prog.Text, prog.TextBase)
+		tp := vm.TranslateWithFacts(prog.Text, prog.TextBase, blocks, facts.Translation())
 
-		run := func(threaded bool) (*vm.CPU, uint64, vm.StopReason, *vm.Fault) {
+		run := func(threaded bool) (*vm.CPU, uint64, vm.StopReason, *vm.Fault, stats.PacketRecord) {
 			mem := vm.NewMemory()
 			mem.WriteBytes(prog.DataBase, prog.Data)
 			cpu := vm.New(prog.Text, prog.TextBase, mem)
@@ -207,6 +212,15 @@ func FuzzFactsEngineDiff(f *testing.F) {
 			cpu.SetReg(isa.SP, layout.StackEnd)
 			cpu.SetReg(isa.RA, vm.ReturnAddress)
 			cpu.PC = entryAddr(prog)
+			col := stats.NewCollector(prog.Text, prog.TextBase, blocks, layout)
+			if threaded {
+				e := vm.NewEntryCounts(tp)
+				cpu.Entries = e
+				col.UseSummaries(e)
+			} else {
+				cpu.Tracer = col
+			}
+			col.BeginPacket()
 			var (
 				steps  uint64
 				reason vm.StopReason
@@ -221,11 +235,14 @@ func FuzzFactsEngineDiff(f *testing.F) {
 			if rerr != nil && !errors.As(rerr, &fault) {
 				t.Fatalf("non-Fault error: %v", rerr)
 			}
-			return cpu, steps, reason, fault
+			if fault != nil {
+				return cpu, steps, reason, fault, col.AbortPacket(fault.Kind)
+			}
+			return cpu, steps, reason, nil, col.EndPacket()
 		}
 
-		ic, isteps, ireason, ifault := run(false)
-		tc, tsteps, treason, tfault := run(true)
+		ic, isteps, ireason, ifault, irec := run(false)
+		tc, tsteps, treason, tfault, trec := run(true)
 		if ic.Regs != tc.Regs {
 			t.Fatalf("registers diverge:\ninterp  %v\nthreaded %v", ic.Regs, tc.Regs)
 		}
@@ -244,6 +261,9 @@ func FuzzFactsEngineDiff(f *testing.F) {
 		}
 		if !ic.Mem.Equal(tc.Mem) {
 			t.Fatal("memory images diverge")
+		}
+		if !reflect.DeepEqual(irec, trec) {
+			t.Fatalf("records diverge:\ninterp    %+v\nsummaries %+v", irec, trec)
 		}
 	})
 }

@@ -14,7 +14,10 @@
 //   - summary counting (always on): per-packet instruction counts, unique
 //     instruction counts, region-split memory access counts, and executed
 //     basic-block sets, using epoch-stamped arrays so per-packet reset is
-//     O(1);
+//     O(1). They come either from the per-instruction tracer events, or —
+//     when the run engine attaches a vm.EntryCounts (UseSummaries) —
+//     from block-entry counts and load-time block summaries, with no
+//     per-instruction work at all;
 //   - optional detail traces (Detail) and whole-run memory coverage maps
 //     (Coverage), which the individual-packet figures (6, 9) and Table IV
 //     need but are too expensive to keep for bulk runs.
@@ -104,6 +107,11 @@ type Collector struct {
 	cur     PacketRecord
 	packets int
 
+	// entries, when non-nil, is the block-entry record the untraced
+	// engine loops fill; EndPacket derives the record from it instead of
+	// from tracer events (UseSummaries).
+	entries *vm.EntryCounts
+
 	// Detail traces for the current packet.
 	InstrTrace []uint32
 	MemTrace   []MemEvent
@@ -181,10 +189,23 @@ func (c *Collector) Blocks() *analysis.BlockMap { return c.blocks }
 // Packets returns the number of completed packets.
 func (c *Collector) Packets() int { return c.packets }
 
+// UseSummaries switches the collector to block-summary accounting: the
+// next packets' records are derived from e, which the untraced
+// block-threaded loops fill (vm.CPU.Entries), instead of from Instr and
+// Mem events. Nil restores per-event accounting. Summary records carry
+// the default record fields only — coverage, detail traces and PCCounts
+// need per-instruction events, so the run engine only switches a
+// collector with none of them enabled, and never while the collector is
+// also attached as a tracer.
+func (c *Collector) UseSummaries(e *vm.EntryCounts) { c.entries = e }
+
 // BeginPacket starts accounting for the next packet.
 func (c *Collector) BeginPacket() {
 	c.epoch++
 	c.cur = PacketRecord{Index: c.packets}
+	if c.entries != nil {
+		c.entries.Reset()
+	}
 	if c.Detail {
 		c.InstrTrace = c.InstrTrace[:0]
 		c.MemTrace = c.MemTrace[:0]
@@ -199,12 +220,25 @@ func (c *Collector) BeginPacket() {
 
 // EndPacket finalizes the current packet and returns its record.
 func (c *Collector) EndPacket() PacketRecord {
+	if c.entries != nil {
+		c.summarize(c.entries)
+	}
 	// Gather the executed block set from the epoch stamps (ascending ids,
-	// hence sorted).
-	for b, e := range c.seenBlock {
+	// hence sorted), into one slice sized by a counting pass.
+	nb := 0
+	for _, e := range c.seenBlock {
 		if e == c.epoch {
-			c.cur.Blocks = append(c.cur.Blocks, b)
+			nb++
 		}
+	}
+	if nb > 0 {
+		blocks := make([]int, 0, nb)
+		for b, e := range c.seenBlock {
+			if e == c.epoch {
+				blocks = append(blocks, b)
+			}
+		}
+		c.cur.Blocks = blocks
 	}
 	rec := c.cur
 	c.packets++
@@ -212,6 +246,36 @@ func (c *Collector) EndPacket() PacketRecord {
 		c.Records = append(c.Records, rec)
 	}
 	return rec
+}
+
+// summarize derives the current record's counts from block-entry counts:
+// every entry at instruction i executed the whole suffix [i, blockEnd)
+// (a block only ends early on a fault or step-limit exit, and those
+// packets are aborted, never ended), so instructions and proven memory
+// ops are entry count × suffix summary, checked memory ops were counted
+// as they ran, and the executed instructions and blocks are the union of
+// the entered suffixes.
+func (c *Collector) summarize(e *vm.EntryCounts) {
+	p := e.Program()
+	r := &c.cur
+	r.PacketReads, r.PacketWrites, r.NonPacketReads, r.NonPacketWrites = e.Checked()
+	for _, i32 := range e.Touched() {
+		i := int(i32)
+		n := e.Count(i)
+		s := p.Suffix(i)
+		r.Instructions += n * uint64(s.End-i)
+		r.PacketReads += n * uint64(s.PacketReads)
+		r.PacketWrites += n * uint64(s.PacketWrites)
+		r.NonPacketReads += n * uint64(s.NonPacketReads)
+		r.NonPacketWrites += n * uint64(s.NonPacketWrites)
+		// Suffixes of one block share its end, so an already-marked
+		// instruction means the rest of this suffix is marked too.
+		for j := i; j < s.End && c.seenInstr[j] != c.epoch; j++ {
+			c.seenInstr[j] = c.epoch
+			r.Unique++
+		}
+		c.seenBlock[s.Block] = c.epoch
+	}
 }
 
 // AbortPacket finalizes the current packet as quarantined: the returned

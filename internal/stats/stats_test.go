@@ -269,6 +269,19 @@ func TestExtractors(t *testing.T) {
 	}
 }
 
+// TestEndPacketAllocatesBlocksOnce pins the record's block set to one
+// exactly sized allocation per packet, not append growth from nil.
+func TestEndPacketAllocatesBlocksOnce(t *testing.T) {
+	h := newHarness(t, loopSrc)
+	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 5)
+	if rec := h.runPacket(t); len(rec.Blocks) < 3 || cap(rec.Blocks) != len(rec.Blocks) {
+		t.Fatalf("Blocks %v (cap %d), want 3+ blocks in an exactly sized slice", rec.Blocks, cap(rec.Blocks))
+	}
+	if n := testing.AllocsPerRun(20, func() { h.runPacket(t) }); n != 1 {
+		t.Errorf("%v allocations per packet, want 1", n)
+	}
+}
+
 func TestPCCounts(t *testing.T) {
 	h := newHarness(t, loopSrc)
 	h.col.CountPCs = true

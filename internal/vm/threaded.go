@@ -20,8 +20,10 @@
 // validation, exactly like the interpreter's fetch path.
 //
 // The engine keeps two completely separate dispatch loops: the untraced
-// loop (Tracer == nil) carries zero tracing branches, while the traced
-// loop reproduces the interpreter's observable event order bit for bit —
+// loop (Tracer == nil) carries zero tracing branches — only the
+// nil-checked block-entry and checked-memory counts behind block-summary
+// statistics (summary.go) — while the traced loop reproduces the
+// interpreter's observable event order bit for bit —
 // Instr before the step is counted, Mem between the fault checks and the
 // access, c.PC current at every tracer call so a panicking tracer (the
 // fault injector does this on purpose) is recovered at the right PC.
@@ -267,6 +269,9 @@ type Program struct {
 	blockEnd []int32 // block id -> exclusive end instruction index
 	leader   []int32 // block id -> leader instruction index
 	endAt    []int32 // instruction index -> exclusive end of its block
+	// suffix is the block-summary statistics table (summary.go):
+	// instruction index -> proven memory ops from it to its block end.
+	suffix []suffixMem
 }
 
 // NumBlocks returns the number of translated basic blocks.
@@ -313,6 +318,7 @@ func Translate(text []isa.Instruction, textBase uint32, blocks *analysis.BlockMa
 		p.ops[i] = translateOne(i, in, textBase, n)
 	}
 	p.fops = p.ops
+	p.buildSuffixes(text, nil)
 	return p
 }
 
@@ -337,6 +343,9 @@ func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysi
 	copy(fops, p.ops)
 
 	if facts != nil {
+		// proven records the regions the optimized body runs unchecked:
+		// the block summaries count those ops statically.
+		proven := make([]Region, n)
 		for i := 0; i < n; i++ {
 			if facts.deadAt(int(p.blockOf[i])) {
 				continue
@@ -345,6 +354,7 @@ func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysi
 			switch op.code {
 			case uLB, uLBU, uLH, uLHU, uLW:
 				if r := facts.memAt(i); r != RegionNone {
+					proven[i] = r
 					if op.rd == 0 {
 						// Cannot fault, cannot write: architecturally inert.
 						*op = microOp{code: uNOP}
@@ -356,6 +366,7 @@ func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysi
 				}
 			case uSB, uSH, uSW:
 				if r := facts.memAt(i); r != RegionNone {
+					proven[i] = r
 					op.code = op.code - uSB + uUSB
 					op.rs2 = uint8(r)
 					p.stats.UncheckedStores++
@@ -387,6 +398,7 @@ func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysi
 				p.stats.DeadBlocks++
 			}
 		}
+		p.buildSuffixes(text, proven)
 	}
 
 	// Greedy left-to-right peephole pairing within each block. The head
@@ -758,8 +770,9 @@ func (m MultiTracer) EnterBlock(b int, leader bool) {
 // this CPU was created with.
 //
 // With a nil Tracer the untraced dispatch loop runs: no tracing branches,
-// per-block step accounting, and c.PC/c.packetWriteHigh updated only at
-// run exit. With a Tracer attached the traced loop reproduces the
+// per-block step accounting, c.PC/c.packetWriteHigh updated only at run
+// exit, and block entries plus checked memory ops counted into c.Entries
+// when it is set. With a Tracer attached the traced loop reproduces the
 // interpreter's per-instruction event order exactly (Instr before the
 // step is counted, Mem between the fault checks and the access, c.PC
 // current at every hook) so tracer-driven fault injection behaves
@@ -783,6 +796,7 @@ func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopRea
 	textBase := p.textBase
 	n := uint32(len(ops))
 	pktHigh := c.packetWriteHigh
+	ec := c.Entries
 	defer func() { //pblint:allow — once per run, not per dispatch
 		c.steps += steps
 		if pktHigh > c.packetWriteHigh {
@@ -818,6 +832,9 @@ outer:
 			return steps, 0, &Fault{Kind: FaultStepLimit, PC: pc}
 		}
 
+		if ec != nil {
+			ec.enter(idx)
+		}
 		end := int(endAt[idx])
 		if rem := maxSteps - steps; uint64(end-idx) > rem {
 			// The budget expires mid-block: execute only the affordable
@@ -887,6 +904,9 @@ outer:
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 				}
+				if ec != nil {
+					ec.access(r, false)
+				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(addr))))
 				}
@@ -898,38 +918,50 @@ outer:
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 				}
+				if ec != nil {
+					ec.access(r, false)
+				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead8(addr))
 				}
 			case uLH:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 1, pc, layout)
+				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, f
+				}
+				if ec != nil {
+					ec.access(r, false)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(addr))))
 				}
 			case uLHU:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 1, pc, layout)
+				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, f
+				}
+				if ec != nil {
+					ec.access(r, false)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead16(addr))
 				}
 			case uLW:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 3, pc, layout)
+				r, f := c.checkData(addr, 3, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, f
+				}
+				if ec != nil {
+					ec.access(r, false)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = c.cachedRead32(addr)
@@ -942,6 +974,9 @@ outer:
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
+				}
+				if ec != nil {
+					ec.access(region, true)
 				}
 				if region == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
@@ -961,6 +996,9 @@ outer:
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
+				if ec != nil {
+					ec.access(region, true)
+				}
 				if region == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
 				}
@@ -979,6 +1017,9 @@ outer:
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
+				}
+				if ec != nil {
+					ec.access(region, true)
 				}
 				if region == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4
@@ -1081,6 +1122,7 @@ func (c *CPU) runFused(p *Program, maxSteps uint64) (steps uint64, reason StopRe
 	textBase := p.textBase
 	n := uint32(len(ops))
 	pktHigh := c.packetWriteHigh
+	ec := c.Entries
 	defer func() { //pblint:allow — once per run, not per dispatch
 		c.steps += steps
 		if pktHigh > c.packetWriteHigh {
@@ -1116,6 +1158,9 @@ outer:
 			return steps, 0, &Fault{Kind: FaultStepLimit, PC: pc}
 		}
 
+		if ec != nil {
+			ec.enter(idx)
+		}
 		body := ops
 		end := int(endAt[idx])
 		if rem := maxSteps - steps; uint64(end-idx) > rem {
@@ -1195,6 +1240,9 @@ outer:
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 				}
+				if ec != nil {
+					ec.access(r, false)
+				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(addr))))
 				}
@@ -1206,38 +1254,50 @@ outer:
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 				}
+				if ec != nil {
+					ec.access(r, false)
+				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead8(addr))
 				}
 			case uLH:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 1, pc, layout)
+				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, f
+				}
+				if ec != nil {
+					ec.access(r, false)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(addr))))
 				}
 			case uLHU:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 1, pc, layout)
+				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, f
+				}
+				if ec != nil {
+					ec.access(r, false)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead16(addr))
 				}
 			case uLW:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 3, pc, layout)
+				r, f := c.checkData(addr, 3, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, f
+				}
+				if ec != nil {
+					ec.access(r, false)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = c.cachedRead32(addr)
@@ -1250,6 +1310,9 @@ outer:
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
+				}
+				if ec != nil {
+					ec.access(region, true)
 				}
 				if region == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
@@ -1269,6 +1332,9 @@ outer:
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
+				if ec != nil {
+					ec.access(region, true)
+				}
 				if region == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
 				}
@@ -1287,6 +1353,9 @@ outer:
 					steps += uint64(j-idx) + 1
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
+				}
+				if ec != nil {
+					ec.access(region, true)
 				}
 				if region == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4

@@ -210,6 +210,10 @@ type CPU struct {
 	// Tracer, when non-nil, observes every executed instruction and data
 	// access.
 	Tracer Tracer
+	// Entries, when non-nil, receives the block-entry counts and checked
+	// memory-op counts of RunProgram's untraced loops (summary.go). The
+	// traced loop, the interpreter and the compiled tier ignore it.
+	Entries *EntryCounts
 
 	text     []isa.Instruction
 	textBase uint32

@@ -114,6 +114,11 @@ type (
 	// differentially validated against. Both produce bit-identical
 	// results.
 	EngineKind = core.EngineKind
+	// Loop is the dispatch loop a bench actually ran (Bench.Loop): the
+	// interpreter, the threaded engine's traced loop, its untraced fast
+	// or fused loop (records-mode statistics from block summaries), or
+	// the compiled tier.
+	Loop = core.Loop
 	// ShedPolicy selects how a streaming pool reacts when its bounded
 	// backlog is full (Options.Shed): block the producer (lossless) or
 	// drop whole batches, newest- or oldest-first.
