@@ -277,7 +277,8 @@ func TestReportLoop(t *testing.T) {
 	}{
 		{core.EngineThreaded, core.Options{}, ""},
 		{core.EngineInterpreter, core.Options{Coverage: true}, ""},
-		{core.EngineThreaded, core.Options{Coverage: true}, "packetbench: -engine threaded ran the traced loop (coverage)\n"},
+		{core.EngineThreaded, core.Options{Coverage: true}, ""},
+		{core.EngineThreaded, core.Options{Detail: true}, "packetbench: -engine threaded ran the traced loop (detail)\n"},
 		{core.EngineCompiled, core.Options{}, "packetbench: -engine compiled ran the traced loop (compiled)\n"},
 	}
 	for _, tc := range cases {

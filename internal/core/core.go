@@ -204,6 +204,11 @@ const (
 	// per-PC counts or extra tracer) come from block summaries, so the
 	// threaded engine runs untraced.
 	ReasonRecords = "records"
+	// ReasonCoverage and ReasonCountPCs: the run-wide coverage maps and
+	// per-PC counts come from block summaries too, on the plain
+	// fully-checked loop (LoopFast), which marks every data access.
+	ReasonCoverage = "coverage"
+	ReasonCountPCs = "countpcs"
 	// ReasonUntraced: statistics are detached (SetTracing(false)).
 	ReasonUntraced = "untraced"
 	// ReasonInterp: the interpreter was requested; it has one loop.
@@ -213,9 +218,7 @@ const (
 	ReasonCompiled = "compiled"
 	// The per-event observers that keep the traced loop.
 	ReasonExtraTracer = "extra-tracer"
-	ReasonCoverage    = "coverage"
 	ReasonDetail      = "detail"
-	ReasonCountPCs    = "countpcs"
 )
 
 // DefaultHotBlocks is how many top-ranked blocks from a recorded
@@ -773,19 +776,22 @@ func (b *Bench) selectLoop() {
 	case !b.tracing:
 		b.cpu.Tracer, b.cpu.Entries = nil, nil
 		b.col.UseSummaries(nil)
-	case b.loopWhy == ReasonRecords:
-		b.cpu.Tracer, b.cpu.Entries = nil, b.entries
-		b.col.UseSummaries(b.entries)
-	default:
+	case b.loop == LoopInterp || b.loop == LoopTraced:
 		b.cpu.Tracer, b.cpu.Entries = b.tracer, nil
 		b.col.UseSummaries(nil)
+	default:
+		b.cpu.Tracer, b.cpu.Entries = nil, b.entries
+		b.col.UseSummaries(b.entries)
 	}
 }
 
 // pickLoop maps the engine, the live collector mode and the attached
-// tracers to a loop. Records mode — no coverage, detail, per-PC counts
-// or extra tracer — is the only mode block summaries can serve; every
-// other mode needs per-instruction events and keeps the traced loop.
+// tracers to a loop. Block summaries serve records mode, coverage and
+// per-PC counts; the last two run the plain fully-checked body (runFast),
+// which marks every data access and records where a faulting run
+// stopped. Detail traces and extra tracers need per-instruction events
+// and keep the traced loop, as does the compiled tier, whose chains carry
+// no block summaries.
 func (b *Bench) pickLoop() (Loop, string) {
 	if b.tprog == nil {
 		return LoopInterp, ReasonInterp
@@ -804,12 +810,12 @@ func (b *Bench) pickLoop() (Loop, string) {
 		return LoopTraced, ReasonCompiled
 	case len(b.extraTracers) > 0:
 		return LoopTraced, ReasonExtraTracer
-	case c.Coverage:
-		return LoopTraced, ReasonCoverage
 	case c.Detail:
 		return LoopTraced, ReasonDetail
+	case c.Coverage:
+		return LoopFast, ReasonCoverage
 	case c.CountPCs:
-		return LoopTraced, ReasonCountPCs
+		return LoopFast, ReasonCountPCs
 	}
 	return untraced, ReasonRecords
 }

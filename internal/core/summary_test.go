@@ -4,11 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/packet"
 	"repro/internal/route"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -25,13 +27,60 @@ var summaryLoops = []struct {
 	{"fused", false, core.LoopFused},
 }
 
+// summaryMode is a statistics mode block summaries serve, with the reason
+// Bench.Loop reports for it: records mode runs the build's own untraced
+// loop; the run-wide outputs — Table IV coverage and per-PC counts — run
+// the plain loop.
+type summaryMode struct {
+	name               string
+	coverage, countPCs bool
+	why                string
+}
+
+var summaryModes = []summaryMode{
+	{"records", false, false, core.ReasonRecords},
+	{"coverage", true, false, core.ReasonCoverage},
+	{"countpcs", false, true, core.ReasonCountPCs},
+	{"coverage+countpcs", true, true, core.ReasonCoverage},
+}
+
+// loop is the loop a threaded bench runs in mode m when records mode
+// runs own.
+func (m summaryMode) loop(own core.Loop) core.Loop {
+	if m.coverage || m.countPCs {
+		return core.LoopFast
+	}
+	return own
+}
+
+// forEachMode runs f as one subtest per summary mode.
+func forEachMode(t *testing.T, f func(t *testing.T, m summaryMode)) {
+	t.Helper()
+	for _, m := range summaryModes {
+		t.Run(m.name, func(t *testing.T) { f(t, m) })
+	}
+}
+
+// pair is oraclePair with the mode armed on both benches.
+func (m summaryMode) pair(t *testing.T, app func() *core.App, opts core.Options) (oracle, got *core.Bench) {
+	t.Helper()
+	opts.Coverage = m.coverage
+	oracle, got = oraclePair(t, app, opts)
+	oracle.Collector().CountPCs = m.countPCs
+	got.Collector().CountPCs = m.countPCs
+	return oracle, got
+}
+
 // oraclePair builds the oracle — the interpreter with the per-instruction
-// collector — and a records-mode threaded bench for the same app, both
-// quarantining faults so faulted records are compared too.
+// collector — and a threaded bench for the same app, both quarantining
+// faults (SkipAndRecord unless opts asks for Retry) so faulted records
+// are compared too.
 func oraclePair(t *testing.T, app func() *core.App, opts core.Options) (oracle, got *core.Bench) {
 	t.Helper()
 	opts.KeepRecords = true
-	opts.Errors = core.ErrorPolicy{Policy: core.SkipAndRecord}
+	if opts.Errors.Policy != core.Retry {
+		opts.Errors = core.ErrorPolicy{Policy: core.SkipAndRecord}
+	}
 	o := opts
 	o.Engine = core.EngineInterpreter
 	oracle, err := core.New(app(), o)
@@ -48,9 +97,9 @@ func oraclePair(t *testing.T, app func() *core.App, opts core.Options) (oracle, 
 
 // requireOracleRecords runs pkts on both benches and requires identical
 // results — verdicts, faults and DeepEqual records (Fault and Blocks
-// included) — and that the threaded bench ran on wantLoop from block
-// summaries.
-func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.Packet, wantLoop core.Loop) {
+// included), and the run-wide outputs the oracle collects — and that the
+// threaded bench ran on wantLoop from block summaries, for reason why.
+func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.Packet, wantLoop core.Loop, why string) {
 	t.Helper()
 	for i, p := range pkts {
 		want, werr := oracle.ProcessPacket(p)
@@ -71,11 +120,54 @@ func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.P
 	if !reflect.DeepEqual(oracle.Collector().Records, got.Collector().Records) {
 		t.Error("retained records differ")
 	}
-	if loop, why := got.Loop(); loop != wantLoop || why != core.ReasonRecords {
-		t.Errorf("threaded bench ran %v (%s), want %v from block summaries", loop, why, wantLoop)
+	requireOracleRunWide(t, oracle, got)
+	if loop, gotWhy := got.Loop(); loop != wantLoop || gotWhy != why {
+		t.Errorf("threaded bench ran %v (%s), want %v (%s) from block summaries", loop, gotWhy, wantLoop, why)
 	}
 	if loop, _ := oracle.Loop(); loop != core.LoopInterp {
 		t.Errorf("oracle ran %v, want the interpreter", loop)
+	}
+}
+
+// requireOracleRunWide requires the run-wide outputs the oracle collects
+// — coverage sizes and the coverage curve, per-PC counts — to match
+// exactly, and to be non-empty so the comparison means something.
+func requireOracleRunWide(t *testing.T, oracle, got *core.Bench) {
+	t.Helper()
+	oc, gc := oracle.Collector(), got.Collector()
+	if oc.Coverage {
+		for _, sz := range []struct {
+			name       string
+			want, have int
+		}{
+			{"instruction", oc.InstrMemSize(), gc.InstrMemSize()},
+			{"data", oc.DataMemSize(), gc.DataMemSize()},
+			{"packet", oc.PacketMemSize(), gc.PacketMemSize()},
+		} {
+			if sz.want != sz.have {
+				t.Errorf("%s memory coverage: oracle %d bytes, threaded %d", sz.name, sz.want, sz.have)
+			}
+		}
+		if oc.InstrMemSize() == 0 {
+			t.Error("oracle covered no instructions")
+		}
+		n := oracle.BlockMap().NumBlocks()
+		want := analysis.CoverageCurve(stats.BlockSets(oc.Records), n)
+		if have := analysis.CoverageCurve(stats.BlockSets(gc.Records), n); !reflect.DeepEqual(want, have) {
+			t.Error("coverage curves differ")
+		}
+	}
+	if oc.CountPCs {
+		if !reflect.DeepEqual(oc.PCCounts, gc.PCCounts) {
+			t.Errorf("PCCounts differ:\n  oracle   %v\n  threaded %v", oc.PCCounts, gc.PCCounts)
+		}
+		var sum uint64
+		for _, n := range oc.PCCounts {
+			sum += n
+		}
+		if sum == 0 {
+			t.Error("oracle counted no instructions")
+		}
 	}
 }
 
@@ -90,10 +182,10 @@ func genPackets(t *testing.T, profile string, n int) []*trace.Packet {
 }
 
 // TestBlockSummaryOracle is the block-summary statistics contract: on
-// every bundled application, over generated traces, the records a
-// records-mode run derives from block-entry counts and load-time
-// summaries on either untraced loop equal the interpreter's
-// per-instruction records exactly.
+// every bundled application, over generated MRA, DCWEB and LAN traces,
+// in every mode summaries serve and on both builds, the records, coverage
+// and per-PC counts a run derives from block-entry counts and load-time
+// summaries equal the interpreter's per-instruction ones exactly.
 func TestBlockSummaryOracle(t *testing.T) {
 	pkts := append(mixedSizePackets(t, 30), genPackets(t, "DCWEB", 40)...)
 	pkts = append(pkts, genPackets(t, "LAN", 40)...)
@@ -118,11 +210,13 @@ func TestBlockSummaryOracle(t *testing.T) {
 	for _, tc := range cases {
 		for _, l := range summaryLoops {
 			t.Run(tc.name+"/"+l.name, func(t *testing.T) {
-				oracle, got := oraclePair(t, tc.app, core.Options{NoVerify: l.noVerify})
-				requireOracleRecords(t, oracle, got, pkts, l.loop)
-				if !oracle.Memory().Equal(got.Memory()) {
-					t.Error("final memory images differ")
-				}
+				forEachMode(t, func(t *testing.T, m summaryMode) {
+					oracle, got := m.pair(t, tc.app, core.Options{NoVerify: l.noVerify})
+					requireOracleRecords(t, oracle, got, pkts, m.loop(l.loop), m.why)
+					if !oracle.Memory().Equal(got.Memory()) {
+						t.Error("final memory images differ")
+					}
+				})
 			})
 		}
 	}
@@ -175,9 +269,12 @@ func summaryPackets() []*trace.Packet {
 }
 
 // TestBlockSummaryFaults covers faulting programs: every packet's record
-// — quarantine markers included — must match the oracle on both loops,
-// for programs that always fault (loaded with NoVerify, which only the
-// fast loop runs) and for one that faults on some packets only.
+// — quarantine markers included — and the run-wide coverage and per-PC
+// counts, which keep what faulted runs executed, must match the oracle in
+// every summary mode, under SkipAndRecord and under Retry (whose failed
+// attempts count too), for programs that always fault (loaded with
+// NoVerify, which only the fast loop runs) and for one that faults on
+// some packets only.
 func TestBlockSummaryFaults(t *testing.T) {
 	pkts := append(summaryPackets(), mixedSizePackets(t, 2)...)
 	always := []string{
@@ -187,18 +284,35 @@ func TestBlockSummaryFaults(t *testing.T) {
 		"e:\naddi t0, a1, 8\njr t0",
 		"e:\naddi a0, zero, 7",
 	}
-	for i, src := range always {
-		app := func() *core.App { return &core.App{Name: "fault", Source: src, Entry: "e"} }
-		oracle, got := oraclePair(t, app, core.Options{NoVerify: true, StepLimit: 10_000})
-		requireOracleRecords(t, oracle, got, pkts, core.LoopFast)
-		if t.Failed() {
-			t.Fatalf("always-faulting program %d: %q", i, src)
-		}
+	policies := []core.ErrorPolicy{
+		{Policy: core.SkipAndRecord},
+		{Policy: core.Retry, MaxAttempts: 3},
 	}
+	t.Run("always", func(t *testing.T) {
+		forEachMode(t, func(t *testing.T, m summaryMode) {
+			for _, pol := range policies {
+				for i, src := range always {
+					app := func() *core.App { return &core.App{Name: "fault", Source: src, Entry: "e"} }
+					oracle, got := m.pair(t, app, core.Options{NoVerify: true, StepLimit: 10_000, Errors: pol})
+					requireOracleRecords(t, oracle, got, pkts, core.LoopFast, m.why)
+					if t.Failed() {
+						t.Fatalf("always-faulting program %d under %v: %q", i, pol.Policy, src)
+					}
+				}
+			}
+		})
+	})
 	for _, l := range summaryLoops {
 		t.Run(l.name, func(t *testing.T) {
-			oracle, got := oraclePair(t, summaryApp, core.Options{NoVerify: l.noVerify})
-			requireOracleRecords(t, oracle, got, pkts, l.loop)
+			forEachMode(t, func(t *testing.T, m summaryMode) {
+				for _, pol := range policies {
+					oracle, got := m.pair(t, summaryApp, core.Options{NoVerify: l.noVerify, Errors: pol})
+					requireOracleRecords(t, oracle, got, pkts, m.loop(l.loop), m.why)
+					if t.Failed() {
+						t.Fatalf("under %v", pol.Policy)
+					}
+				}
+			})
 		})
 	}
 }
@@ -232,7 +346,7 @@ func TestBlockSummaryMidBlockEntry(t *testing.T) {
 	for _, l := range summaryLoops {
 		t.Run(l.name, func(t *testing.T) {
 			oracle, got := oraclePair(t, app, core.Options{NoVerify: l.noVerify})
-			requireOracleRecords(t, oracle, got, pkts, l.loop)
+			requireOracleRecords(t, oracle, got, pkts, l.loop, core.ReasonRecords)
 			if r := got.Collector().Records[0]; r.Unique != 12 || r.Instructions != 15 {
 				t.Errorf("record %+v, want 15 instructions over 12 unique", r)
 			}
@@ -243,26 +357,29 @@ func TestBlockSummaryMidBlockEntry(t *testing.T) {
 // TestBlockSummaryStepLimitSweep runs the packets under every step budget
 // from 1 past the longest packet, so the budget runs out inside every
 // block position: the exhausted packets quarantine with the oracle's
-// fault, and the packets after them still get exact records.
+// fault, the packets after them still get exact records, and coverage
+// and per-PC counts include exactly the instructions before each cut.
 func TestBlockSummaryStepLimitSweep(t *testing.T) {
 	pkts := summaryPackets()
 	for _, l := range summaryLoops {
 		t.Run(l.name, func(t *testing.T) {
-			for budget := uint64(1); budget <= 50; budget++ {
-				oracle, got := oraclePair(t, summaryApp, core.Options{NoVerify: l.noVerify, StepLimit: budget})
-				requireOracleRecords(t, oracle, got, pkts, l.loop)
-				if t.Failed() {
-					t.Fatalf("step limit %d", budget)
+			forEachMode(t, func(t *testing.T, m summaryMode) {
+				for budget := uint64(1); budget <= 50; budget++ {
+					oracle, got := m.pair(t, summaryApp, core.Options{NoVerify: l.noVerify, StepLimit: budget})
+					requireOracleRecords(t, oracle, got, pkts, m.loop(l.loop), m.why)
+					if t.Failed() {
+						t.Fatalf("step limit %d", budget)
+					}
 				}
-			}
+			})
 		})
 	}
 }
 
 // TestCountPCsAfterNew pins the way the CLI, pbreport and the span report
 // enable per-PC counts: setting Collector().CountPCs after New must move
-// the next packets onto the per-event path and yield exact PCCounts;
-// clearing it again returns to block summaries.
+// the next packets onto the plain untraced loop and still yield exact
+// PCCounts; clearing it again returns to the fused loop.
 func TestCountPCsAfterNew(t *testing.T) {
 	pkts := mixedSizePackets(t, 20)
 	app := func() *core.App { return apps.TSAApp(0x5453412D31363A31) }
@@ -281,8 +398,8 @@ func TestCountPCsAfterNew(t *testing.T) {
 		}
 		total += res.Record.Instructions
 	}
-	if loop, why := got.Loop(); loop != core.LoopTraced || why != core.ReasonCountPCs {
-		t.Errorf("with CountPCs: loop %v (%s), want traced (countpcs)", loop, why)
+	if loop, why := got.Loop(); loop != core.LoopFast || why != core.ReasonCountPCs {
+		t.Errorf("with CountPCs: loop %v (%s), want fast (countpcs)", loop, why)
 	}
 	counts := got.Collector().PCCounts
 	if !reflect.DeepEqual(counts, oracle.Collector().PCCounts) {
@@ -318,8 +435,10 @@ func TestLoopSelection(t *testing.T) {
 	}{
 		{"records", core.Options{}, nil, core.LoopFused, core.ReasonRecords},
 		{"records-noverify", core.Options{NoVerify: true}, nil, core.LoopFast, core.ReasonRecords},
-		{"coverage", core.Options{Coverage: true}, nil, core.LoopTraced, core.ReasonCoverage},
+		{"coverage", core.Options{Coverage: true}, nil, core.LoopFast, core.ReasonCoverage},
+		{"countpcs", core.Options{}, func(b *core.Bench) { b.Collector().CountPCs = true }, core.LoopFast, core.ReasonCountPCs},
 		{"detail", core.Options{Detail: true}, nil, core.LoopTraced, core.ReasonDetail},
+		{"coverage-detail", core.Options{Coverage: true, Detail: true}, nil, core.LoopTraced, core.ReasonDetail},
 		{"extra-tracer", core.Options{}, func(b *core.Bench) { b.AddTracer(&diffPanicTracer{target: -1}) }, core.LoopTraced, core.ReasonExtraTracer},
 		{"interp", core.Options{Engine: core.EngineInterpreter}, nil, core.LoopInterp, core.ReasonInterp},
 		{"compiled", core.Options{Engine: core.EngineCompiled}, nil, core.LoopTraced, core.ReasonCompiled},

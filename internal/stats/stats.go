@@ -18,13 +18,15 @@
 //     when the run engine attaches a vm.EntryCounts (UseSummaries) —
 //     from block-entry counts and load-time block summaries, with no
 //     per-instruction work at all;
-//   - optional detail traces (Detail) and whole-run memory coverage maps
-//     (Coverage), which the individual-packet figures (6, 9) and Table IV
-//     need but are too expensive to keep for bulk runs.
+//   - optional whole-run memory coverage maps (Coverage, Table IV) and
+//     per-instruction execution counts (CountPCs), from either source as
+//     well: the block-summary path folds entry count × suffix into them
+//     per packet and marks data words as the plain untraced loop runs;
+//   - optional detail traces (Detail), which the individual-packet
+//     figures (6, 9) need and which only per-instruction events carry.
 package stats
 
 import (
-	"math/bits"
 	"time"
 
 	"repro/internal/analysis"
@@ -111,6 +113,12 @@ type Collector struct {
 	// engine loops fill; EndPacket derives the record from it instead of
 	// from tracer events (UseSummaries).
 	entries *vm.EntryCounts
+	// open is set while a block-summary run begun by BeginPacket has been
+	// neither ended nor aborted; a fault leaves it set (see settle).
+	open bool
+	// minEntry[b] is the lowest index at which the current packet entered
+	// block b, valid where seenBlock[b] == epoch (block-summary path).
+	minEntry []int32
 
 	// Detail traces for the current packet.
 	InstrTrace []uint32
@@ -125,43 +133,16 @@ type Collector struct {
 	// whole run (enabled by CountPCs).
 	PCCounts []uint64
 
-	// Whole-run coverage sets (enabled by Coverage). Data/stack/packet
-	// coverage is tracked at word granularity with one bit per 32-bit
-	// word, keyed off the layout — Table IV only needs counts, and the
-	// bitset update is a shift and an OR where the old per-byte map
-	// insert dominated -coverage runs. Allocated at the first
-	// BeginPacket after Coverage is set.
+	// Whole-run coverage sets (enabled by Coverage). Data coverage is
+	// tracked at word granularity, one bit per 32-bit word of each
+	// region, keyed off the layout — Table IV only needs counts. Allocated
+	// at the first BeginPacket after Coverage is set.
 	instrTouched []bool // per text instruction
-	dataTouched  wordBitset
-	stackTouched wordBitset
-	pktTouched   wordBitset
-}
-
-// wordBitset tracks the touched 32-bit words of one contiguous address
-// region, one bit per word.
-type wordBitset struct {
-	base uint32
-	bits []uint64
-}
-
-func newWordBitset(base, end uint32) wordBitset {
-	words := (end - base + 3) / 4
-	return wordBitset{base: base, bits: make([]uint64, (words+63)/64)}
-}
-
-// set marks the word containing addr, which must lie inside the region.
-func (s *wordBitset) set(addr uint32) {
-	w := (addr - s.base) / 4
-	s.bits[w>>6] |= 1 << (w & 63)
-}
-
-// count returns the number of marked words.
-func (s *wordBitset) count() int {
-	n := 0
-	for _, b := range s.bits {
-		n += bits.OnesCount64(b)
-	}
-	return n
+	words        *vm.WordSet
+	// suffixMarked[i] records that instruction i's whole block suffix is
+	// in instrTouched, so the block-summary path marks each entry's
+	// suffix once per run rather than once per packet.
+	suffixMarked []bool
 }
 
 // NewCollector creates a collector for a program's text segment. The
@@ -175,7 +156,9 @@ func NewCollector(text []isa.Instruction, textBase uint32, blocks *analysis.Bloc
 		layout:       layout,
 		seenInstr:    make([]uint32, len(text)),
 		seenBlock:    make([]uint32, blocks.NumBlocks()),
+		minEntry:     make([]int32, blocks.NumBlocks()),
 		instrTouched: make([]bool, len(text)),
+		suffixMarked: make([]bool, len(text)),
 		// PCCounts is eagerly allocated (one counter per text
 		// instruction is a few KiB at most) so the per-instruction hot
 		// path never has to test for a nil slice.
@@ -192,35 +175,48 @@ func (c *Collector) Packets() int { return c.packets }
 // UseSummaries switches the collector to block-summary accounting: the
 // next packets' records are derived from e, which the untraced
 // block-threaded loops fill (vm.CPU.Entries), instead of from Instr and
-// Mem events. Nil restores per-event accounting. Summary records carry
-// the default record fields only — coverage, detail traces and PCCounts
-// need per-instruction events, so the run engine only switches a
-// collector with none of them enabled, and never while the collector is
-// also attached as a tracer.
-func (c *Collector) UseSummaries(e *vm.EntryCounts) { c.entries = e }
+// Mem events. Nil restores per-event accounting. Summaries serve the
+// packet record, Coverage and PCCounts; with either of the run-wide
+// outputs enabled, BeginPacket asks e for the plain body
+// (vm.EntryCounts.SetPlain), which marks data coverage and records where
+// a faulting run stopped. Detail traces need per-instruction events, so
+// the run engine never switches a collector with Detail set, nor one
+// that is also attached as a tracer.
+func (c *Collector) UseSummaries(e *vm.EntryCounts) {
+	if e != c.entries {
+		c.settle()
+	}
+	c.entries = e
+}
 
 // BeginPacket starts accounting for the next packet.
 func (c *Collector) BeginPacket() {
+	c.settle()
 	c.epoch++
 	c.cur = PacketRecord{Index: c.packets}
+	if c.Coverage && c.words == nil {
+		c.words = vm.NewWordSet(c.layout)
+	}
 	if c.entries != nil {
 		c.entries.Reset()
+		var words *vm.WordSet
+		if c.Coverage {
+			words = c.words
+		}
+		c.entries.SetPlain(c.Coverage || c.CountPCs, words)
+		c.open = true
 	}
 	if c.Detail {
 		c.InstrTrace = c.InstrTrace[:0]
 		c.MemTrace = c.MemTrace[:0]
 		c.BlockSeq = c.BlockSeq[:0]
 	}
-	if c.Coverage && c.dataTouched.bits == nil {
-		c.dataTouched = newWordBitset(c.layout.DataBase, c.layout.DataEnd)
-		c.stackTouched = newWordBitset(c.layout.StackBase, c.layout.StackEnd)
-		c.pktTouched = newWordBitset(c.layout.PacketBase, c.layout.PacketEnd)
-	}
 }
 
 // EndPacket finalizes the current packet and returns its record.
 func (c *Collector) EndPacket() PacketRecord {
-	if c.entries != nil {
+	if c.open {
+		c.open = false
 		c.summarize(c.entries)
 	}
 	// Gather the executed block set from the epoch stamps (ascending ids,
@@ -251,39 +247,101 @@ func (c *Collector) EndPacket() PacketRecord {
 // summarize derives the current record's counts from block-entry counts:
 // every entry at instruction i executed the whole suffix [i, blockEnd)
 // (a block only ends early on a fault or step-limit exit, and those
-// packets are aborted, never ended), so instructions and proven memory
-// ops are entry count × suffix summary, checked memory ops were counted
-// as they ran, and the executed instructions and blocks are the union of
-// the entered suffixes.
+// packets are aborted, never ended), so instructions, per-PC counts and
+// — on the fused body — proven memory ops are entry count × suffix
+// summary, checked memory ops were counted as they ran, and the executed
+// instructions and blocks are the union of the entered suffixes.
 func (c *Collector) summarize(e *vm.EntryCounts) {
 	p := e.Program()
 	r := &c.cur
 	r.PacketReads, r.PacketWrites, r.NonPacketReads, r.NonPacketWrites = e.Checked()
+	proven := !e.Plain() // the plain body checks and counts every op
+	runWide := c.Coverage || c.CountPCs
 	for _, i32 := range e.Touched() {
 		i := int(i32)
 		n := e.Count(i)
 		s := p.Suffix(i)
 		r.Instructions += n * uint64(s.End-i)
-		r.PacketReads += n * uint64(s.PacketReads)
-		r.PacketWrites += n * uint64(s.PacketWrites)
-		r.NonPacketReads += n * uint64(s.NonPacketReads)
-		r.NonPacketWrites += n * uint64(s.NonPacketWrites)
-		// Suffixes of one block share its end, so an already-marked
-		// instruction means the rest of this suffix is marked too.
-		for j := i; j < s.End && c.seenInstr[j] != c.epoch; j++ {
-			c.seenInstr[j] = c.epoch
-			r.Unique++
+		if proven {
+			r.PacketReads += n * uint64(s.PacketReads)
+			r.PacketWrites += n * uint64(s.PacketWrites)
+			r.NonPacketReads += n * uint64(s.NonPacketReads)
+			r.NonPacketWrites += n * uint64(s.NonPacketWrites)
 		}
-		c.seenBlock[s.Block] = c.epoch
+		// Suffixes of one block share its end, so their union is the
+		// suffix of the block's lowest entry.
+		if b := s.Block; c.seenBlock[b] != c.epoch {
+			c.seenBlock[b] = c.epoch
+			c.minEntry[b] = i32
+			r.Unique += s.End - i
+		} else if m := c.minEntry[b]; i32 < m {
+			c.minEntry[b] = i32
+			r.Unique += int(m - i32)
+		}
+		if runWide {
+			c.runWide(i, s.End, n, true)
+		}
+	}
+}
+
+// runWide folds n executions of instructions [i, end) into PCCounts and
+// instrTouched. whole says [i, end) is i's entire block suffix, which
+// then never needs marking again.
+func (c *Collector) runWide(i, end int, n uint64, whole bool) {
+	if c.CountPCs {
+		pcs := c.PCCounts[i:end]
+		for j := range pcs {
+			pcs[j] += n
+		}
+	}
+	if c.Coverage && !c.suffixMarked[i] {
+		touched := c.instrTouched[i:end]
+		for j := range touched {
+			touched[j] = true
+		}
+		c.suffixMarked[i] = whole
+	}
+}
+
+// settle folds a block-summary run that stopped on a fault — ended by
+// neither EndPacket nor AbortPacket yet — into PCCounts and
+// instrTouched, which keep what faulted runs executed just as the
+// per-event path does: every entry ran its whole suffix, except that the
+// last entry of a run stopped inside its block ran only the prefix the
+// entry record reports (vm.EntryCounts.Cut). Retried attempts settle at
+// the next BeginPacket, the final one at AbortPacket.
+func (c *Collector) settle() {
+	if !c.open {
+		return
+	}
+	c.open = false
+	if !c.Coverage && !c.CountPCs {
+		return
+	}
+	e := c.entries
+	p := e.Program()
+	cutAt, cutEnd, cut := e.Cut()
+	for _, i32 := range e.Touched() {
+		i := int(i32)
+		n := e.Count(i)
+		if cut && i == cutAt {
+			n--
+			c.runWide(i, cutEnd, 1, false)
+		}
+		if n > 0 {
+			c.runWide(i, p.Suffix(i).End, n, true)
+		}
 	}
 }
 
 // AbortPacket finalizes the current packet as quarantined: the returned
 // record occupies the packet's Index slot but holds only the fault kind —
 // partial counts from the failed execution are discarded, since they
-// describe an execution that never completed. Any partial detail traces
-// are reset by the next BeginPacket as usual.
+// describe an execution that never completed. What the run executed
+// still counts toward the run-wide Coverage and PCCounts. Any partial
+// detail traces are reset by the next BeginPacket as usual.
 func (c *Collector) AbortPacket(kind vm.FaultKind) PacketRecord {
+	c.settle()
 	rec := PacketRecord{Index: c.cur.Index, Fault: kind}
 	c.packets++
 	if c.KeepRecords {
@@ -358,16 +416,7 @@ func (c *Collector) Mem(pc, addr uint32, size uint8, write bool, region vm.Regio
 		}
 	}
 	if c.Coverage {
-		// Aligned accesses never span a word, so marking the word of
-		// addr covers the whole access.
-		switch region {
-		case vm.RegionPacket:
-			c.pktTouched.set(addr)
-		case vm.RegionStack:
-			c.stackTouched.set(addr)
-		default:
-			c.dataTouched.set(addr)
-		}
+		c.words.Mark(region, addr)
 	}
 	if c.Detail {
 		c.MemTrace = append(c.MemTrace, MemEvent{
@@ -394,12 +443,21 @@ func (c *Collector) InstrMemSize() int {
 // state, stack), which is the application-owned memory Table IV
 // reports. Requires Coverage.
 func (c *Collector) DataMemSize() int {
-	return (c.dataTouched.count() + c.stackTouched.count()) * isa.WordSize
+	return (c.wordCount(vm.RegionData) + c.wordCount(vm.RegionStack)) * isa.WordSize
 }
 
 // PacketMemSize returns the touched packet-buffer footprint in bytes at
 // word granularity. Requires Coverage.
-func (c *Collector) PacketMemSize() int { return c.pktTouched.count() * isa.WordSize }
+func (c *Collector) PacketMemSize() int { return c.wordCount(vm.RegionPacket) * isa.WordSize }
+
+// wordCount returns the touched words of region r (0 before Coverage was
+// ever enabled).
+func (c *Collector) wordCount(r vm.Region) int {
+	if c.words == nil {
+		return 0
+	}
+	return c.words.Count(r)
+}
 
 // Summary aggregates a run's records. Quarantined (faulted) records are
 // counted in Packets and broken out per fault kind, but contribute

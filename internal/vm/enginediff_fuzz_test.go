@@ -19,7 +19,8 @@ import (
 // interpreter's per-instruction collector record against the
 // block-summary record of each untraced loop (the plain vm.Translate
 // body for runFast, the vm.TranslateWithFacts body for runFused when its
-// fusion is kept). CI runs this as a short -fuzz smoke.
+// fusion is kept), and the run-wide coverage footprint and per-PC counts
+// of a plain-body summary run. CI runs this as a short -fuzz smoke.
 func FuzzEngineDiff(f *testing.F) {
 	f.Add([]byte{byte(isa.HALT), 0, 0, 0, 0, 0})
 	// The TSA sub-key walk shape: the srli/slli/andi/or/add bit-extract
@@ -85,6 +86,15 @@ func FuzzEngineDiff(f *testing.F) {
 		byte(isa.JAL), 15, 0, 0, 0xFC, 0xFF,
 	})
 	f.Add([]byte{255, 255, 255, 255, 255, 255})
+	// A byte load from unmapped memory in the middle of a block: the
+	// coverage of a faulted run includes the block's executed prefix up
+	// to and including the faulting instruction.
+	f.Add(seedProg(
+		isa.Instruction{Op: isa.ADDI, Rd: 4, Rs1: 1, Imm: 8},
+		isa.Instruction{Op: isa.LBU, Rd: 5, Rs1: 1, Imm: 0},
+		isa.Instruction{Op: isa.LB, Rd: 6, Rs1: isa.Zero, Imm: 16},
+		isa.Instruction{Op: isa.JALR, Rs1: 15},
+	))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		text := vm.DecodeFuzzProg(b)
 		if text == nil {
@@ -93,23 +103,35 @@ func FuzzEngineDiff(f *testing.F) {
 		vm.CheckEngineDiff(t, text)
 
 		blocks := analysis.NewBlockMap(text, vm.FuzzTextBase)
-		want := fuzzRecord(t, text, blocks, nil)
+		want := fuzzRecord(t, text, blocks, nil, true)
 		for _, p := range []*vm.Program{
 			vm.Translate(text, vm.FuzzTextBase, blocks),
 			vm.TranslateWithFacts(text, vm.FuzzTextBase, blocks, nil),
 		} {
-			if got := fuzzRecord(t, text, blocks, p); !reflect.DeepEqual(want, got) {
-				t.Fatalf("records differ (fused body %v):\n  interp    %+v\n  summaries %+v", p.Fused(), want, got)
+			if got := fuzzRecord(t, text, blocks, p, false); !reflect.DeepEqual(want.Record, got.Record) {
+				t.Fatalf("records differ (fused body %v):\n  interp    %+v\n  summaries %+v", p.Fused(), want.Record, got.Record)
+			}
+			if got := fuzzRecord(t, text, blocks, p, true); !reflect.DeepEqual(want, got) {
+				t.Fatalf("coverage run differs (fused body %v):\n  interp    %+v\n  summaries %+v", p.Fused(), want, got)
 			}
 		}
 	})
 }
 
+// fuzzStats is what one run leaves in the collector: the packet record
+// and, for a coverage run, the run-wide footprint and per-PC counts.
+type fuzzStats struct {
+	Record                    stats.PacketRecord
+	InstrMem, DataMem, PktMem int
+	PCCounts                  []uint64
+}
+
 // fuzzRecord runs text once, the way the run engine processes a packet,
-// and returns the collector's record: from per-instruction events on the
-// interpreter when p is nil, else from block summaries on p's untraced
-// loop. A faulted run yields the quarantine record.
-func fuzzRecord(t *testing.T, text []isa.Instruction, blocks *analysis.BlockMap, p *vm.Program) stats.PacketRecord {
+// and returns what the collector derived: from per-instruction events on
+// the interpreter when p is nil, else from block summaries on p's
+// untraced loop. runWide enables coverage and per-PC counts. A faulted
+// run yields the quarantine record.
+func fuzzRecord(t *testing.T, text []isa.Instruction, blocks *analysis.BlockMap, p *vm.Program, runWide bool) fuzzStats {
 	t.Helper()
 	layout := vm.TestLayout(vm.FuzzTextBase, len(text))
 	cpu := vm.New(text, vm.FuzzTextBase, vm.NewMemory())
@@ -117,6 +139,7 @@ func fuzzRecord(t *testing.T, text []isa.Instruction, blocks *analysis.BlockMap,
 	vm.FuzzSeedRegs(cpu)
 	cpu.PC = vm.FuzzTextBase
 	col := stats.NewCollector(text, vm.FuzzTextBase, blocks, layout)
+	col.Coverage, col.CountPCs = runWide, runWide
 	if p == nil {
 		cpu.Tracer = col
 	} else {
@@ -131,14 +154,21 @@ func fuzzRecord(t *testing.T, text []isa.Instruction, blocks *analysis.BlockMap,
 	} else {
 		_, _, err = cpu.RunProgram(p, vm.FuzzMaxSteps)
 	}
+	var s fuzzStats
 	if err != nil {
 		var f *vm.Fault
 		if !errors.As(err, &f) {
 			t.Fatalf("non-Fault error: %v", err)
 		}
-		return col.AbortPacket(f.Kind)
+		s.Record = col.AbortPacket(f.Kind)
+	} else {
+		s.Record = col.EndPacket()
 	}
-	return col.EndPacket()
+	if runWide {
+		s.InstrMem, s.DataMem, s.PktMem = col.InstrMemSize(), col.DataMemSize(), col.PacketMemSize()
+		s.PCCounts = col.PCCounts
+	}
+	return s
 }
 
 // seedProg encodes instructions in the fuzzers' 6-byte wire form, for

@@ -10,13 +10,25 @@
 // end of its block. The statistics collector (internal/stats) turns the
 // two into the same record the per-instruction tracer path produces.
 //
+// The run-wide characterization outputs come from the same inputs on the
+// plain loop (EntryCounts.SetPlain): per-PC counts are entry count ×
+// suffix, instruction coverage is the union of the entered suffixes, and
+// data coverage is the word of every access, all of which the plain body
+// checks and marks into a WordSet as it runs.
+//
 // A block only ends early on a fault or a step-limit exit (control
-// transfers, HALT included, terminate blocks), and the framework discards
-// the counts of a faulted packet, so whole-suffix accounting is exact for
-// every record that is kept.
+// transfers, HALT included, terminate blocks). The framework discards the
+// per-packet counts of a faulted packet, so whole-suffix accounting is
+// exact for every record that is kept; for the run-wide outputs, which do
+// keep what a faulted packet executed, the plain loop records how far the
+// block it stopped in got (EntryCounts.Cut).
 package vm
 
-import "repro/internal/isa"
+import (
+	"math/bits"
+
+	"repro/internal/isa"
+)
 
 // Suffix summarizes the straight-line run from one instruction to the
 // exclusive end of its basic block: the instructions it retires and the
@@ -99,6 +111,13 @@ type EntryCounts struct {
 	// mem holds the checked memory ops' dynamic counts, indexed by
 	// memSlot.
 	mem [4]uint64
+	// plain and words are the SetPlain configuration.
+	plain bool
+	words *WordSet
+	// cutAt and cutEnd record a run that stopped inside a block: its
+	// last entry, at cutAt, executed only [cutAt, cutEnd). cutEnd is 0
+	// when every entry ran its whole suffix.
+	cutAt, cutEnd int32
 }
 
 type entrySlot struct {
@@ -132,6 +151,30 @@ func (e *EntryCounts) Reset() {
 	}
 	e.nt = 0
 	e.mem = [4]uint64{}
+	e.cutEnd = 0
+}
+
+// SetPlain selects the body the runs that fill e execute. With plain
+// set, RunProgram dispatches the fully checked body (runFast) even for a
+// fused program, so every memory op is checked and counted as it runs
+// (the summaries then add no proven-op counts), a run that stops inside
+// a block records how far it got (Cut), and a non-nil words receives the
+// word of every data access. Run-wide coverage and per-PC counts need
+// all three; records mode passes (false, nil) and runs whichever body
+// the program prefers. words is only marked on the plain body.
+func (e *EntryCounts) SetPlain(plain bool, words *WordSet) { e.plain, e.words = plain, words }
+
+// Plain reports whether the runs that fill e execute the fully checked
+// body (SetPlain).
+func (e *EntryCounts) Plain() bool { return e.plain }
+
+// Cut reports how far a plain-body run that stopped inside a block got:
+// execution last entered that block at index entry and executed only
+// [entry, end) — through the faulting instruction, or up to the one a
+// step budget cut off. ok is false when every entry ran its whole
+// suffix. An entry's earlier entries ran whole suffixes.
+func (e *EntryCounts) Cut() (entry, end int, ok bool) {
+	return int(e.cutAt), int(e.cutEnd), e.cutEnd != 0
 }
 
 // Touched returns the instruction indexes entered since the last Reset,
@@ -180,3 +223,71 @@ func memSlot(r Region, write bool) int {
 
 // access counts one executed checked memory op.
 func (e *EntryCounts) access(r Region, write bool) { e.mem[memSlot(r, write)&3]++ }
+
+// touch is access for the plain loop: it also marks the accessed word
+// when the record tracks data coverage.
+func (e *EntryCounts) touch(r Region, write bool, addr uint32) {
+	e.mem[memSlot(r, write)&3]++
+	if e.words != nil {
+		e.words.Mark(r, addr)
+	}
+}
+
+// cut records that the run stops inside the block it last entered, at
+// index entry, having executed [entry, end). The plain loop calls it on
+// its cold stop paths only; a nil record ignores it.
+func (e *EntryCounts) cut(entry, end int) {
+	if e != nil {
+		e.cutAt, e.cutEnd = int32(entry), int32(end)
+	}
+}
+
+// WordSet is a run-wide set of touched 32-bit data words: one bit per
+// word of each data region (packet, data, stack) of a layout, the memory
+// coverage Table IV reports. Aligned accesses never span a word, so the
+// word of an access's address covers all of it. The collector's
+// per-event Mem hook and the plain loop's checked-op hook both mark into
+// it.
+type WordSet struct {
+	regions [numRegions]wordBits
+}
+
+// wordBits is the bitset of one region, keyed off its base address.
+type wordBits struct {
+	base uint32
+	bits []uint64
+}
+
+// NewWordSet builds an empty word set over l's data regions.
+func NewWordSet(l Layout) *WordSet {
+	s := &WordSet{}
+	for _, r := range []struct {
+		r         Region
+		base, end uint32
+	}{
+		{RegionPacket, l.PacketBase, l.PacketEnd},
+		{RegionData, l.DataBase, l.DataEnd},
+		{RegionStack, l.StackBase, l.StackEnd},
+	} {
+		words := (r.end - r.base + 3) / 4
+		s.regions[r.r] = wordBits{base: r.base, bits: make([]uint64, (words+63)/64)}
+	}
+	return s
+}
+
+// Mark adds the word containing addr, which must lie inside data region
+// r.
+func (s *WordSet) Mark(r Region, addr uint32) {
+	b := &s.regions[r]
+	w := (addr - b.base) / 4
+	b.bits[w>>6] |= 1 << (w & 63)
+}
+
+// Count returns the number of marked words in region r.
+func (s *WordSet) Count(r Region) int {
+	n := 0
+	for _, w := range s.regions[r].bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}

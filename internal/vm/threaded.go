@@ -21,9 +21,9 @@
 //
 // The engine keeps two completely separate dispatch loops: the untraced
 // loop (Tracer == nil) carries zero tracing branches — only the
-// nil-checked block-entry and checked-memory counts behind block-summary
-// statistics (summary.go) — while the traced loop reproduces the
-// interpreter's observable event order bit for bit —
+// nil-checked block-entry and checked-memory hooks behind block-summary
+// statistics and coverage (summary.go) — while the traced loop
+// reproduces the interpreter's observable event order bit for bit —
 // Instr before the step is counted, Mem between the fault checks and the
 // access, c.PC current at every tracer call so a panicking tracer (the
 // fault injector does this on purpose) is recovered at the right PC.
@@ -781,13 +781,17 @@ func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason Stop
 	if c.Tracer != nil {
 		return c.runTraced(p, maxSteps)
 	}
-	if p.ext != nil {
+	if p.ext != nil && (c.Entries == nil || !c.Entries.plain) {
 		return c.runFused(p, maxSteps)
 	}
 	return c.runFast(p, maxSteps)
 }
 
-// runFast is the untraced dispatch loop.
+// runFast is the untraced dispatch loop over the plain, fully checked
+// body. Besides the block-entry and checked-op counts it records, on its
+// cold stop paths, how far the block a run stopped inside got
+// (EntryCounts.Cut), and it marks every access into the coverage word
+// set of a plain-body entry record.
 func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopReason, rerr error) {
 	regs := &c.Regs
 	layout := c.Layout
@@ -841,6 +845,7 @@ outer:
 			// prefix; the re-entry check above raises the step-limit
 			// fault at the exact instruction the interpreter would.
 			end = idx + int(rem)
+			ec.cut(idx, end)
 		}
 		if end > len(ops) {
 			// Never taken (endAt values are block bounds); it teaches the
@@ -901,11 +906,12 @@ outer:
 				r := layout.Classify(addr)
 				if r == RegionNone || r == RegionText {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 				}
 				if ec != nil {
-					ec.access(r, false)
+					ec.touch(r, false, addr)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(addr))))
@@ -915,11 +921,12 @@ outer:
 				r := layout.Classify(addr)
 				if r == RegionNone || r == RegionText {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 				}
 				if ec != nil {
-					ec.access(r, false)
+					ec.touch(r, false, addr)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead8(addr))
@@ -929,11 +936,12 @@ outer:
 				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, f
 				}
 				if ec != nil {
-					ec.access(r, false)
+					ec.touch(r, false, addr)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(addr))))
@@ -943,11 +951,12 @@ outer:
 				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, f
 				}
 				if ec != nil {
-					ec.access(r, false)
+					ec.touch(r, false, addr)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead16(addr))
@@ -957,11 +966,12 @@ outer:
 				r, f := c.checkData(addr, 3, pc, layout)
 				if f != nil {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, f
 				}
 				if ec != nil {
-					ec.access(r, false)
+					ec.touch(r, false, addr)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = c.cachedRead32(addr)
@@ -972,11 +982,12 @@ outer:
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
 				if ec != nil {
-					ec.access(region, true)
+					ec.touch(region, true, addr)
 				}
 				if region == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
@@ -987,17 +998,19 @@ outer:
 				addr := regs[op.rs1&15] + op.imm
 				if addr&1 != 0 {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
 				if ec != nil {
-					ec.access(region, true)
+					ec.touch(region, true, addr)
 				}
 				if region == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
@@ -1009,17 +1022,19 @@ outer:
 				addr := regs[op.rs1&15] + op.imm
 				if addr&3 != 0 {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
+					ec.cut(idx, j+1)
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
 				if ec != nil {
-					ec.access(region, true)
+					ec.touch(region, true, addr)
 				}
 				if region == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4
@@ -1087,6 +1102,7 @@ outer:
 				return steps, StopHalt, nil
 			case uBAD:
 				steps += uint64(j-idx) + 1
+				ec.cut(idx, j+1)
 				c.PC = pc
 				return steps, 0, &Fault{Kind: FaultBadInstr, PC: pc}
 			}

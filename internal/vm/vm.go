@@ -211,8 +211,9 @@ type CPU struct {
 	// access.
 	Tracer Tracer
 	// Entries, when non-nil, receives the block-entry counts and checked
-	// memory-op counts of RunProgram's untraced loops (summary.go). The
-	// traced loop, the interpreter and the compiled tier ignore it.
+	// memory-op counts of RunProgram's untraced loops (summary.go), and
+	// selects the plain loop when it asks for it (EntryCounts.SetPlain).
+	// The traced loop, the interpreter and the compiled tier ignore it.
 	Entries *EntryCounts
 
 	text     []isa.Instruction

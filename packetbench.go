@@ -116,8 +116,8 @@ type (
 	EngineKind = core.EngineKind
 	// Loop is the dispatch loop a bench actually ran (Bench.Loop): the
 	// interpreter, the threaded engine's traced loop, its untraced fast
-	// or fused loop (records-mode statistics from block summaries), or
-	// the compiled tier.
+	// or fused loop (statistics, coverage and per-PC counts from block
+	// summaries), or the compiled tier.
 	Loop = core.Loop
 	// ShedPolicy selects how a streaming pool reacts when its bounded
 	// backlog is full (Options.Shed): block the producer (lossless) or
