@@ -616,8 +616,9 @@ func startCPUProfile(path string) (stop func() error, err error) {
 
 // reportLoop prints one stderr line when the loop that ran is not the
 // requested engine's own — a per-event observer (detail traces, an
-// extra tracer) or the compiled tier's statistics fallback forced the
-// traced loop — so no run changes tier silently.
+// extra tracer) forced the interpreter, or collected statistics sent the
+// compiled engine to a threaded summary loop — so no run changes tier
+// silently.
 func reportLoop(w io.Writer, b *core.Bench, engine core.EngineKind) {
 	if loop, why := b.Loop(); !loop.Natural(engine) {
 		fmt.Fprintf(w, "packetbench: -engine %s ran the %s loop (%s)\n", engine, loop, why)

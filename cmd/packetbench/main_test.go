@@ -278,8 +278,8 @@ func TestReportLoop(t *testing.T) {
 		{core.EngineThreaded, core.Options{}, ""},
 		{core.EngineInterpreter, core.Options{Coverage: true}, ""},
 		{core.EngineThreaded, core.Options{Coverage: true}, ""},
-		{core.EngineThreaded, core.Options{Detail: true}, "packetbench: -engine threaded ran the traced loop (detail)\n"},
-		{core.EngineCompiled, core.Options{}, "packetbench: -engine compiled ran the traced loop (compiled)\n"},
+		{core.EngineThreaded, core.Options{Detail: true}, "packetbench: -engine threaded ran the interp loop (detail)\n"},
+		{core.EngineCompiled, core.Options{}, "packetbench: -engine compiled ran the fused loop (records)\n"},
 	}
 	for _, tc := range cases {
 		opts := tc.opts

@@ -147,17 +147,17 @@ func ParseEngine(s string) (EngineKind, error) {
 
 // Loop identifies the dispatch loop that executed a bench's packets —
 // the effective tier, which can differ from the requested EngineKind:
-// the threaded engine runs its traced loop whenever a per-event observer
-// is attached, and the compiled engine falls back to that same loop
-// whenever statistics are collected.
+// every engine runs the interpreter whenever a per-event observer
+// (detail traces, an extra tracer) is attached, and the compiled engine
+// runs the threaded engine's summary loops whenever statistics are
+// collected. The ordinals (interp 0, fast 1, fused 2, compiled 3) are
+// what ptrace exec spans record.
 type Loop uint8
 
 // The dispatch loops.
 const (
 	// LoopInterp is the reference interpreter (vm.CPU.Run).
 	LoopInterp Loop = iota
-	// LoopTraced is the threaded engine's per-event traced loop.
-	LoopTraced
 	// LoopFast is the threaded engine's untraced loop over the plain,
 	// fully-checked translation.
 	LoopFast
@@ -173,8 +173,6 @@ func (l Loop) String() string {
 	switch l {
 	case LoopInterp:
 		return "interp"
-	case LoopTraced:
-		return "traced"
 	case LoopFast:
 		return "fast"
 	case LoopFused:
@@ -202,7 +200,7 @@ func (l Loop) Natural(e EngineKind) bool {
 const (
 	// ReasonRecords: records-mode statistics (no coverage, detail,
 	// per-PC counts or extra tracer) come from block summaries, so the
-	// threaded engine runs untraced.
+	// threaded and compiled engines run an untraced threaded loop.
 	ReasonRecords = "records"
 	// ReasonCoverage and ReasonCountPCs: the run-wide coverage maps and
 	// per-PC counts come from block summaries too, on the plain
@@ -213,10 +211,7 @@ const (
 	ReasonUntraced = "untraced"
 	// ReasonInterp: the interpreter was requested; it has one loop.
 	ReasonInterp = "interp"
-	// ReasonCompiled: the compiled tier takes the traced loop whenever
-	// statistics are collected.
-	ReasonCompiled = "compiled"
-	// The per-event observers that keep the traced loop.
+	// The per-event observers that send every engine to the interpreter.
 	ReasonExtraTracer = "extra-tracer"
 	ReasonDetail      = "detail"
 )
@@ -709,9 +704,6 @@ func New(app *App, opts Options) (*Bench, error) {
 		} else {
 			tprog = vm.TranslateWithFacts(prog.Text, prog.TextBase, blocks, tf)
 		}
-		// The threaded engine reports block entries itself; the
-		// collector must not re-derive them per instruction.
-		col.BlocksFromEngine = true
 		if opts.Engine == EngineCompiled {
 			var cfg vm.CompileConfig
 			if opts.ProfileCounts != nil {
@@ -776,7 +768,7 @@ func (b *Bench) selectLoop() {
 	case !b.tracing:
 		b.cpu.Tracer, b.cpu.Entries = nil, nil
 		b.col.UseSummaries(nil)
-	case b.loop == LoopInterp || b.loop == LoopTraced:
+	case b.loop == LoopInterp:
 		b.cpu.Tracer, b.cpu.Entries = b.tracer, nil
 		b.col.UseSummaries(nil)
 	default:
@@ -789,9 +781,10 @@ func (b *Bench) selectLoop() {
 // tracers to a loop. Block summaries serve records mode, coverage and
 // per-PC counts; the last two run the plain fully-checked body (runFast),
 // which marks every data access and records where a faulting run
-// stopped. Detail traces and extra tracers need per-instruction events
-// and keep the traced loop, as does the compiled tier, whose chains carry
-// no block summaries.
+// stopped. Detail traces and extra tracers need per-instruction events,
+// which only the interpreter produces. The compiled tier runs only with
+// statistics detached: its chains carry no block summaries, so with
+// statistics on it gets the threaded engine's choice.
 func (b *Bench) pickLoop() (Loop, string) {
 	if b.tprog == nil {
 		return LoopInterp, ReasonInterp
@@ -806,12 +799,10 @@ func (b *Bench) pickLoop() (Loop, string) {
 		return LoopCompiled, ReasonUntraced
 	case !b.tracing:
 		return untraced, ReasonUntraced
-	case b.engine == EngineCompiled:
-		return LoopTraced, ReasonCompiled
 	case len(b.extraTracers) > 0:
-		return LoopTraced, ReasonExtraTracer
+		return LoopInterp, ReasonExtraTracer
 	case c.Detail:
-		return LoopTraced, ReasonDetail
+		return LoopInterp, ReasonDetail
 	case c.Coverage:
 		return LoopFast, ReasonCoverage
 	case c.CountPCs:
@@ -1013,13 +1004,13 @@ func (b *Bench) runGuarded() (err error) {
 				&vm.Fault{Kind: vm.FaultHostPanic, PC: b.cpu.PC})
 		}
 	}()
-	switch {
-	case b.cprog != nil:
+	switch b.loop {
+	case LoopCompiled:
 		_, _, err = b.cpu.RunCompiled(b.cprog, b.stepLimit)
 		if b.metrics != nil {
 			b.flushCompiledMetrics()
 		}
-	case b.tprog != nil:
+	case LoopFast, LoopFused:
 		_, _, err = b.cpu.RunProgram(b.tprog, b.stepLimit)
 	default:
 		_, _, err = b.cpu.Run(b.stepLimit)
@@ -1064,7 +1055,7 @@ func (b *Bench) SetTracing(enabled bool) {
 // AddTracer attaches an additional tracer (for example a
 // microarch.Profiler) alongside the workload collector, and attaches
 // statistics if SetTracing(false) had detached them. Every run of a
-// bench with an extra tracer takes the per-event traced loop.
+// bench with an extra tracer runs on the interpreter.
 func (b *Bench) AddTracer(t vm.Tracer) {
 	b.extraTracers = append(b.extraTracers, t)
 	b.tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))

@@ -236,11 +236,11 @@ func compiledPair(t *testing.T, app func() *core.App, opts core.Options) (interp
 
 // TestCompiledEngineEquivalenceApps extends the system-level engine
 // equivalence contract to the compiled tier: every bundled application
-// processes the trace untraced (a tracer would fall the compiled engine
-// back to the threaded traced loop by contract — detaching the collector
-// is what makes the closures actually execute) on the interpreter and
-// the compiled engine, and must produce bit-identical verdicts, faults,
-// packet-buffer contents, and final memory images. The stats assertion
+// processes the trace untraced (with statistics on the compiled engine
+// runs a threaded summary loop or the interpreter by contract — detaching
+// the collector is what makes the closures actually execute) on the
+// interpreter and the compiled engine, and must produce bit-identical
+// verdicts, faults, packet-buffer contents, and final memory images. The stats assertion
 // at the end proves the runs went through compiled chains, so the
 // comparison is not vacuously exercising the cold tier.
 func TestCompiledEngineEquivalenceApps(t *testing.T) {
@@ -329,10 +329,10 @@ func (p *diffPanicTracer) Instr(pc uint32, in isa.Instruction) {
 func (p *diffPanicTracer) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {}
 
 // TestCompiledEnginePanicEquivalence pins FaultHostPanic equivalence for
-// the compiled engine: a panicking tracer (which, being a tracer, also
-// falls the engine back to the threaded traced loop — the documented
-// traced-run contract) surfaces the identical recovered FaultHostPanic
-// on both engines, and both benches keep working afterwards.
+// the compiled engine: a panicking tracer (which, being a tracer, sends
+// the engine to the interpreter — the documented traced-run contract)
+// surfaces the identical recovered FaultHostPanic on both engines, and
+// both benches keep working afterwards.
 func TestCompiledEnginePanicEquivalence(t *testing.T) {
 	pkts := mixedSizePackets(t, 4)
 	app := func() *core.App { return apps.FlowClassification(64) }

@@ -101,6 +101,7 @@ func TestSkipPolicyEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("skip run did not complete: %v", err)
 	}
+	requireTracerLoop(t, skipPool)
 
 	// Quarantined packets keep their slots, tagged with the right kinds.
 	if !faulty[2].Faulted() || faulty[2].Fault != vm.FaultUnmapped || faulty[2].Index != 2 {
@@ -293,6 +294,7 @@ func TestPoolWorkerPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("skip run failed: %v", err)
 	}
+	requireTracerLoop(t, pool)
 	if !recs[3].Faulted() || recs[3].Fault != vm.FaultHostPanic {
 		t.Errorf("packet 3 = %+v, want FaultHostPanic quarantine", recs[3])
 	}

@@ -24,8 +24,23 @@ func poolWithPlan(t *testing.T, cores int, opts Options, inj *faultinject.Inject
 		for i := 0; i < pool.Cores(); i++ {
 			pool.Bench(i).AddTracer(inj.Tracer())
 		}
+		requireTracerLoop(t, pool)
 	}
 	return pool
+}
+
+// requireTracerLoop requires every core of pool to run on the
+// interpreter for its extra tracer, so the crash-only guarantees a test
+// checks hold for the loop that really runs. Call it before a run, or
+// after one that returned normally (a stalled run may leave a wedged
+// worker behind).
+func requireTracerLoop(t *testing.T, pool *Pool) {
+	t.Helper()
+	for i := 0; i < pool.Cores(); i++ {
+		if loop, why := pool.Bench(i).Loop(); loop != LoopInterp || why != ReasonExtraTracer {
+			t.Errorf("core %d runs the %v loop (%s), want interp (%s)", i, loop, why, ReasonExtraTracer)
+		}
+	}
 }
 
 func mustPlan(t *testing.T, spec string) *faultinject.Injector {
@@ -77,6 +92,7 @@ func TestDelayDoesNotTripWatchdog(t *testing.T) {
 	if n != 12 {
 		t.Errorf("processed %d packets, want 12", n)
 	}
+	requireTracerLoop(t, pool)
 }
 
 // TestRunDeadline: a pool run past Options.RunDeadline is cancelled with
@@ -198,6 +214,7 @@ func TestBatchedPanicAttribution(t *testing.T) {
 	if len(faults) != 1 || faults[11] != vm.FaultHostPanic {
 		t.Errorf("faults = %v, want exactly {11: FaultHostPanic}", faults)
 	}
+	requireTracerLoop(t, pool)
 }
 
 // TestChaosSoak drives a streaming run through a mixed host-fault plan —
@@ -255,6 +272,7 @@ func TestChaosSoak(t *testing.T) {
 	if len(faults)+shed > 50 {
 		t.Errorf("loss %d+%d exceeds the error budget", len(faults), shed)
 	}
+	requireTracerLoop(t, pool)
 }
 
 // TestRetryDelayShape pins the backoff helper: zero base disables it,

@@ -72,9 +72,9 @@ func (m summaryMode) pair(t *testing.T, app func() *core.App, opts core.Options)
 }
 
 // oraclePair builds the oracle — the interpreter with the per-instruction
-// collector — and a threaded bench for the same app, both quarantining
-// faults (SkipAndRecord unless opts asks for Retry) so faulted records
-// are compared too.
+// collector — and a bench on opts.Engine (threaded unless set) for the
+// same app, both quarantining faults (SkipAndRecord unless opts asks for
+// Retry) so faulted records are compared too.
 func oraclePair(t *testing.T, app func() *core.App, opts core.Options) (oracle, got *core.Bench) {
 	t.Helper()
 	opts.KeepRecords = true
@@ -87,7 +87,7 @@ func oraclePair(t *testing.T, app func() *core.App, opts core.Options) (oracle, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Engine = core.EngineThreaded
+	o.Engine = opts.Engine
 	got, err = core.New(app(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,10 @@ func genPackets(t *testing.T, profile string, n int) []*trace.Packet {
 // every bundled application, over generated MRA, DCWEB and LAN traces,
 // in every mode summaries serve and on both builds, the records, coverage
 // and per-PC counts a run derives from block-entry counts and load-time
-// summaries equal the interpreter's per-instruction ones exactly.
+// summaries equal the interpreter's per-instruction ones exactly. The
+// compiled engine, whose chains carry no summaries, takes the threaded
+// engine's summary loops with statistics on and is held to the same
+// contract.
 func TestBlockSummaryOracle(t *testing.T) {
 	pkts := append(mixedSizePackets(t, 30), genPackets(t, "DCWEB", 40)...)
 	pkts = append(pkts, genPackets(t, "LAN", 40)...)
@@ -219,6 +222,12 @@ func TestBlockSummaryOracle(t *testing.T) {
 				})
 			})
 		}
+		t.Run(tc.name+"/compiled", func(t *testing.T) {
+			forEachMode(t, func(t *testing.T, m summaryMode) {
+				oracle, got := m.pair(t, tc.app, core.Options{Engine: core.EngineCompiled})
+				requireOracleRecords(t, oracle, got, pkts, m.loop(core.LoopFused), m.why)
+			})
+		})
 	}
 }
 
@@ -437,11 +446,13 @@ func TestLoopSelection(t *testing.T) {
 		{"records-noverify", core.Options{NoVerify: true}, nil, core.LoopFast, core.ReasonRecords},
 		{"coverage", core.Options{Coverage: true}, nil, core.LoopFast, core.ReasonCoverage},
 		{"countpcs", core.Options{}, func(b *core.Bench) { b.Collector().CountPCs = true }, core.LoopFast, core.ReasonCountPCs},
-		{"detail", core.Options{Detail: true}, nil, core.LoopTraced, core.ReasonDetail},
-		{"coverage-detail", core.Options{Coverage: true, Detail: true}, nil, core.LoopTraced, core.ReasonDetail},
-		{"extra-tracer", core.Options{}, func(b *core.Bench) { b.AddTracer(&diffPanicTracer{target: -1}) }, core.LoopTraced, core.ReasonExtraTracer},
+		{"detail", core.Options{Detail: true}, nil, core.LoopInterp, core.ReasonDetail},
+		{"coverage-detail", core.Options{Coverage: true, Detail: true}, nil, core.LoopInterp, core.ReasonDetail},
+		{"extra-tracer", core.Options{}, func(b *core.Bench) { b.AddTracer(&diffPanicTracer{target: -1}) }, core.LoopInterp, core.ReasonExtraTracer},
 		{"interp", core.Options{Engine: core.EngineInterpreter}, nil, core.LoopInterp, core.ReasonInterp},
-		{"compiled", core.Options{Engine: core.EngineCompiled}, nil, core.LoopTraced, core.ReasonCompiled},
+		{"compiled", core.Options{Engine: core.EngineCompiled}, nil, core.LoopFused, core.ReasonRecords},
+		{"compiled-coverage", core.Options{Engine: core.EngineCompiled, Coverage: true}, nil, core.LoopFast, core.ReasonCoverage},
+		{"compiled-detail", core.Options{Engine: core.EngineCompiled, Detail: true}, nil, core.LoopInterp, core.ReasonDetail},
 		{"compiled-untraced", core.Options{Engine: core.EngineCompiled}, func(b *core.Bench) { b.SetTracing(false) }, core.LoopCompiled, core.ReasonUntraced},
 		{"untraced", core.Options{}, func(b *core.Bench) { b.SetTracing(false) }, core.LoopFused, core.ReasonUntraced},
 	}

@@ -190,7 +190,7 @@ func TestBenchTelemetryCompiledTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SetTracing(false) // traced runs fall back to the threaded loop
+	b.SetTracing(false) // with statistics on the compiled tier never runs
 	for _, p := range telemetryPackets(2 * vm.DefaultPromoteAfter) {
 		if _, err := b.ProcessPacket(p); err != nil {
 			t.Fatal(err)

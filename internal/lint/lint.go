@@ -69,7 +69,6 @@ var hotPathFuncs = map[string]bool{
 	"ProcessPacketAt": true,
 	"runFast":         true,
 	"runFused":        true,
-	"runTraced":       true,
 }
 
 // CheckFile runs every rule over one parsed file and returns the

@@ -97,8 +97,8 @@ type Event struct {
 	// Attempt numbers the execution attempt (0 = first).
 	Attempt uint8
 	// Engine is the core.Loop ordinal for exec events: the dispatch loop
-	// that actually ran the attempt (interp, traced, fast, fused or
-	// compiled), not the engine that was requested.
+	// that actually ran the attempt (interp 0, fast 1, fused 2,
+	// compiled 3), not the engine that was requested.
 	Engine uint8
 	// Fault is the vm.FaultKind ordinal that ended a failed attempt
 	// (offset by one: 0 means no fault, k+1 means kind k).

@@ -88,12 +88,6 @@ type Collector struct {
 	// CountPCs enables per-instruction execution counters (PCCounts),
 	// the input for gprof-style annotated listings.
 	CountPCs bool
-	// BlocksFromEngine declares that the execution engine reports block
-	// entries itself through EnterBlock (the block-threaded engine knows
-	// the block structure already), so Instr skips the per-instruction
-	// BlockOfIndex lookup. The core run engine sets it to match the
-	// engine a bench was built with.
-	BlocksFromEngine bool
 
 	blocks   *analysis.BlockMap
 	textBase uint32
@@ -359,17 +353,13 @@ func (c *Collector) Instr(pc uint32, in isa.Instruction) {
 			c.seenInstr[idx] = c.epoch
 			c.cur.Unique++
 		}
-		if !c.BlocksFromEngine {
-			b := c.blocks.BlockOfIndex(idx)
-			if c.seenBlock[b] != c.epoch {
-				c.seenBlock[b] = c.epoch
-			}
-			if c.Detail && c.blocks.LeaderIndex(b) == idx {
-				// A block is entered whenever its leader executes (all
-				// control-transfer targets are leaders), so self-loops
-				// count as re-entries.
-				c.BlockSeq = append(c.BlockSeq, b)
-			}
+		b := c.blocks.BlockOfIndex(idx)
+		c.seenBlock[b] = c.epoch
+		if c.Detail && c.blocks.LeaderIndex(b) == idx {
+			// A block is entered whenever its leader executes (all
+			// control-transfer targets are leaders), so self-loops
+			// count as re-entries.
+			c.BlockSeq = append(c.BlockSeq, b)
 		}
 		if c.Coverage {
 			c.instrTouched[idx] = true
@@ -380,23 +370,6 @@ func (c *Collector) Instr(pc uint32, in isa.Instruction) {
 		if c.Detail {
 			c.InstrTrace = append(c.InstrTrace, pc)
 		}
-	}
-}
-
-// EnterBlock implements vm.BlockTracer: the block-threaded engine
-// reports each dynamic block entry directly, replacing the
-// per-instruction block derivation in Instr. It is a no-op unless
-// BlocksFromEngine is set, so a collector attached to the interpreter
-// never double-counts.
-func (c *Collector) EnterBlock(b int, leader bool) {
-	if !c.BlocksFromEngine {
-		return
-	}
-	if c.seenBlock[b] != c.epoch {
-		c.seenBlock[b] = c.epoch
-	}
-	if c.Detail && leader {
-		c.BlockSeq = append(c.BlockSeq, b)
 	}
 }
 

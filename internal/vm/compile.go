@@ -47,10 +47,10 @@
 // rather than surfaced.
 //
 // Tier rules mirror the established contracts: a Tracer forces the
-// threaded traced loop (per-instruction event order is pinned to the
-// interpreter), and Compile refuses to build anything without verifier
-// facts — an unverified (NoVerify) program can never reach the compiled
-// tier, the same no-proof-no-elision line the threaded engine draws.
+// interpreter (it owns the per-instruction event order), and Compile
+// refuses to build anything without verifier facts — an unverified
+// (NoVerify) program can never reach the compiled tier, the same
+// no-proof-no-elision line the threaded engine draws.
 package vm
 
 import (
@@ -1459,12 +1459,12 @@ func storeFaultKind(region Region) FaultKind {
 // chains run as specialized closures, everything else runs on the
 // reference interpreter one block at a time, and online promotion moves
 // blocks from the second set into the first. The observable contract is
-// RunProgram's, bit for bit. A traced run falls back to the threaded
-// traced loop: the compiled tier cannot replay the interpreter's
+// RunProgram's, bit for bit. With a Tracer attached RunCompiled is
+// c.Run(maxSteps): the compiled tier cannot replay the interpreter's
 // per-instruction event order, so it never runs under a Tracer.
 func (c *CPU) RunCompiled(cp *CompiledProgram, maxSteps uint64) (steps uint64, reason StopReason, err error) {
 	if c.Tracer != nil {
-		return c.runTraced(cp.p, maxSteps)
+		return c.Run(maxSteps)
 	}
 	return c.runCompiled(cp, maxSteps)
 }

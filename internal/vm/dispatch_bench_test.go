@@ -42,8 +42,9 @@ func (t *countingTracer) Mem(pc, addr uint32, size uint8, write bool, region Reg
 	t.mems++
 }
 
-// BenchmarkVMDispatch measures raw simulator dispatch across the four
-// engine/tracing combinations on the synthetic kernel. The instrs/sec
+// BenchmarkVMDispatch measures raw simulator dispatch for each engine
+// on the synthetic kernel, untraced, plus the interpreter traced (every
+// engine runs a traced program on the interpreter). The instrs/sec
 // metric is the simulator's headline speed; the threaded/traced=false
 // row is the per-packet hot path the block-threaded engine exists for.
 func BenchmarkVMDispatch(b *testing.B) {
@@ -72,8 +73,8 @@ func BenchmarkVMDispatch(b *testing.B) {
 
 	for _, engine := range []string{"threaded", "threaded-fused", "threaded-proof", "compiled", "interp"} {
 		for _, traced := range []bool{false, true} {
-			if traced && (engine == "threaded-fused" || engine == "threaded-proof" || engine == "compiled") {
-				continue // tracing always runs the unfused checked body
+			if traced && engine != "interp" {
+				continue // a traced run is the interpreter on every engine
 			}
 			b.Run(fmt.Sprintf("%s/traced=%v", engine, traced), func(b *testing.B) {
 				mem := NewMemory()

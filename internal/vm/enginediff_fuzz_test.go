@@ -14,8 +14,8 @@ import (
 // FuzzEngineDiff is the differential fuzzer behind the engine-equivalence
 // contract: arbitrary instruction streams (the FuzzVM input encoding) run
 // through the reference interpreter and the block-threaded engine. The
-// machine state and tracer event streams must be bit-identical
-// (vm.CheckEngineDiff), and so must the statistics record: the
+// machine state must be bit-identical (vm.CheckEngineDiff), and so must
+// the statistics record: the
 // interpreter's per-instruction collector record against the
 // block-summary record of each untraced loop (the plain vm.Translate
 // body for runFast, the vm.TranslateWithFacts body for runFused when its

@@ -19,12 +19,11 @@
 // target instruction index; only the indirect JALR pays a full PC
 // validation, exactly like the interpreter's fetch path.
 //
-// The engine keeps two completely separate dispatch loops: the untraced
-// loop (Tracer == nil) carries zero tracing branches — only the
-// nil-checked block-entry and checked-memory hooks behind block-summary
-// statistics and coverage (summary.go) — while the traced loop
-// reproduces the interpreter's observable event order bit for bit —
-// Instr before the step is counted, Mem between the fault checks and the
+// The dispatch loops carry zero tracing branches — only the nil-checked
+// block-entry and checked-memory hooks behind block-summary statistics
+// and coverage (summary.go). A run with a Tracer attached executes on the
+// interpreter instead, which owns the per-instruction event order: Instr
+// before the step is counted, Mem between the fault checks and the
 // access, c.PC current at every tracer call so a panicking tracer (the
 // fault injector does this on purpose) is recovered at the right PC.
 //
@@ -40,10 +39,10 @@
 // the dispatch count on the hot idioms. The optimized body is dispatch-
 // only state: the second slot of each fused pair keeps its single-op
 // form so indirect entry mid-pair stays exact, budget-truncated block
-// passes fall back to the unfused body, and the traced loop always runs
-// the fully-checked translation so the interpreter's event order is
-// preserved bit for bit. Unverified programs (Options.NoVerify) never
-// reach TranslateWithFacts.
+// passes fall back to the unfused body, and the plain loop runs the
+// fully-checked translation whenever statistics need every data access
+// marked (EntryCounts.SetPlain). Unverified programs (Options.NoVerify)
+// never reach TranslateWithFacts.
 //
 // The interpreter remains the oracle: for any program and input the two
 // engines produce identical register files, memory images, step counts,
@@ -256,14 +255,12 @@ type Program struct {
 	// entry into the middle of a pair stays correct, and the loop runs
 	// the plain ops body instead whenever the step budget truncates a
 	// block. Translate aliases fops to ops; only TranslateWithFacts
-	// builds a distinct body. The traced loop always runs ops, whose
-	// per-instruction event order is pinned to the interpreter.
+	// builds a distinct body.
 	fops []microOp
 	// ext holds the fused pairs' second-bank operands, parallel to fops
 	// (nil for a plain Translate program, whose body has no fused heads).
 	ext      []fusedExt
 	stats    TranslateStats
-	text     []isa.Instruction // original instructions, for tracer events
 	textBase uint32
 	blockOf  []int32 // instruction index -> block id
 	blockEnd []int32 // block id -> exclusive end instruction index
@@ -301,7 +298,6 @@ func Translate(text []isa.Instruction, textBase uint32, blocks *analysis.BlockMa
 	n := len(text)
 	p := &Program{
 		ops:      make([]microOp, n),
-		text:     text,
 		textBase: textBase,
 		blockOf:  make([]int32, n),
 		blockEnd: make([]int32, blocks.NumBlocks()),
@@ -738,29 +734,6 @@ func staticTarget(target, textBase uint32, n int) int32 {
 	return auxFault
 }
 
-// BlockTracer is an optional Tracer extension: an engine that already
-// knows the basic-block structure (the block-threaded engine) reports
-// block entries directly, so a block-aware tracer (the statistics
-// collector) does not have to re-derive the block of every instruction.
-// EnterBlock is called once per dynamic block entry, before the entry
-// instruction's Instr event; leader reports whether execution entered at
-// the block's first instruction (false only for indirect jumps into the
-// middle of a block).
-type BlockTracer interface {
-	Tracer
-	EnterBlock(b int, leader bool)
-}
-
-// EnterBlock implements BlockTracer by fanning out to the members that
-// are themselves block-aware.
-func (m MultiTracer) EnterBlock(b int, leader bool) {
-	for _, t := range m {
-		if bt, ok := t.(BlockTracer); ok {
-			bt.EnterBlock(b, leader)
-		}
-	}
-}
-
 // RunProgram executes the translated program starting at c.PC until the
 // application halts, returns to ReturnAddress, faults, or exceeds
 // maxSteps — the block-threaded equivalent of Run, with the identical
@@ -769,17 +742,15 @@ func (m MultiTracer) EnterBlock(b int, leader bool) {
 // failure. p must have been translated from the text segment and base
 // this CPU was created with.
 //
-// With a nil Tracer the untraced dispatch loop runs: no tracing branches,
+// With a nil Tracer an untraced dispatch loop runs: no tracing branches,
 // per-block step accounting, c.PC/c.packetWriteHigh updated only at run
 // exit, and block entries plus checked memory ops counted into c.Entries
-// when it is set. With a Tracer attached the traced loop reproduces the
-// interpreter's per-instruction event order exactly (Instr before the
-// step is counted, Mem between the fault checks and the access, c.PC
-// current at every hook) so tracer-driven fault injection behaves
-// identically under both engines.
+// when it is set. With a Tracer attached RunProgram is c.Run(maxSteps):
+// the interpreter is the one source of per-instruction events, so a
+// tracer sees the same event order on every engine.
 func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason StopReason, err error) {
 	if c.Tracer != nil {
-		return c.runTraced(p, maxSteps)
+		return c.Run(maxSteps)
 	}
 	if p.ext != nil && (c.Entries == nil || !c.Entries.plain) {
 		return c.runFused(p, maxSteps)
@@ -2083,237 +2054,6 @@ func (c *CPU) checkData(addr, mask, pc uint32, layout Layout) (Region, *Fault) {
 	}
 	return r, nil
 }
-
-// runTraced is the traced dispatch loop. It keeps the interpreter's
-// per-instruction observable order exactly; the speedup here comes only
-// from the eliminated fetch checks and pre-decoded operands, since every
-// instruction still owes its tracer events.
-func (c *CPU) runTraced(p *Program, maxSteps uint64) (steps uint64, reason StopReason, rerr error) {
-	tr := c.Tracer
-	bt, blockAware := tr.(BlockTracer)
-	regs := &c.Regs
-	layout := c.Layout
-	ops := p.ops
-	text := p.text
-	blockOf := p.blockOf
-	blockEnd := p.blockEnd
-	textBase := p.textBase
-	n := uint32(len(ops))
-	// A tracer may panic mid-run (the fault injector does); account the
-	// executed steps to the CPU lifetime counter even then, exactly as
-	// the interpreter's per-instruction increments would have.
-	defer func() { c.steps += steps }() //pblint:allow — once per run, not per dispatch
-
-	pcv := c.PC
-	idx := -1
-outer:
-	for {
-		if idx < 0 {
-			if pcv == ReturnAddress {
-				c.PC = pcv
-				return steps, StopReturn, nil
-			}
-			if steps >= maxSteps {
-				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultStepLimit, PC: pcv}
-			}
-			off := pcv - textBase
-			if off%isa.WordSize != 0 || off/isa.WordSize >= n {
-				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultBadFetch, PC: pcv}
-			}
-			idx = int(off / isa.WordSize)
-		} else if steps >= maxSteps {
-			pc := textBase + uint32(idx)*isa.WordSize
-			c.PC = pc
-			return steps, 0, &Fault{Kind: FaultStepLimit, PC: pc}
-		}
-
-		b := blockOf[idx]
-		if blockAware {
-			bt.EnterBlock(int(b), idx == int(p.leader[b]))
-		}
-		end := int(blockEnd[b])
-		if rem := maxSteps - steps; uint64(end-idx) > rem {
-			end = idx + int(rem)
-		}
-		pc := textBase + uint32(idx)*isa.WordSize
-		for j := idx; j < end; j++ {
-			op := &ops[j]
-			c.PC = pc
-			tr.Instr(pc, text[j])
-			steps++
-			switch op.code {
-			case uNOP:
-			case uADD:
-				regs[op.rd&15] = regs[op.rs1&15] + regs[op.rs2&15]
-			case uSUB:
-				regs[op.rd&15] = regs[op.rs1&15] - regs[op.rs2&15]
-			case uAND:
-				regs[op.rd&15] = regs[op.rs1&15] & regs[op.rs2&15]
-			case uOR:
-				regs[op.rd&15] = regs[op.rs1&15] | regs[op.rs2&15]
-			case uXOR:
-				regs[op.rd&15] = regs[op.rs1&15] ^ regs[op.rs2&15]
-			case uSLL:
-				regs[op.rd&15] = regs[op.rs1&15] << (regs[op.rs2&15] & 31)
-			case uSRL:
-				regs[op.rd&15] = regs[op.rs1&15] >> (regs[op.rs2&15] & 31)
-			case uSRA:
-				regs[op.rd&15] = uint32(int32(regs[op.rs1&15]) >> (regs[op.rs2&15] & 31))
-			case uSLT:
-				regs[op.rd&15] = b2u(int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]))
-			case uSLTU:
-				regs[op.rd&15] = b2u(regs[op.rs1&15] < regs[op.rs2&15])
-			case uMUL:
-				regs[op.rd&15] = regs[op.rs1&15] * regs[op.rs2&15]
-			case uADDI:
-				regs[op.rd&15] = regs[op.rs1&15] + op.imm
-			case uANDI:
-				regs[op.rd&15] = regs[op.rs1&15] & op.imm
-			case uORI:
-				regs[op.rd&15] = regs[op.rs1&15] | op.imm
-			case uXORI:
-				regs[op.rd&15] = regs[op.rs1&15] ^ op.imm
-			case uSLLI:
-				regs[op.rd&15] = regs[op.rs1&15] << (op.imm & 31)
-			case uSRLI:
-				regs[op.rd&15] = regs[op.rs1&15] >> (op.imm & 31)
-			case uSRAI:
-				regs[op.rd&15] = uint32(int32(regs[op.rs1&15]) >> (op.imm & 31))
-			case uSLTI:
-				regs[op.rd&15] = b2u(int32(regs[op.rs1&15]) < int32(op.imm))
-			case uSLTIU:
-				regs[op.rd&15] = b2u(regs[op.rs1&15] < op.imm)
-			case uLI:
-				regs[op.rd&15] = op.imm
-
-			case uLB, uLBU, uLH, uLHU, uLW:
-				size := loadSize[op.code-uLB]
-				addr := regs[op.rs1&15] + op.imm
-				if addr&(size-1) != 0 {
-					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
-				}
-				region := layout.Classify(addr)
-				if region == RegionNone || region == RegionText {
-					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
-				}
-				tr.Mem(pc, addr, uint8(size), false, region)
-				var v uint32
-				switch op.code {
-				case uLB:
-					v = uint32(int32(int8(c.cachedRead8(addr))))
-				case uLBU:
-					v = uint32(c.cachedRead8(addr))
-				case uLH:
-					v = uint32(int32(int16(c.cachedRead16(addr))))
-				case uLHU:
-					v = uint32(c.cachedRead16(addr))
-				case uLW:
-					v = c.cachedRead32(addr)
-				}
-				if op.rd != 0 {
-					regs[op.rd&15] = v
-				}
-
-			case uSB, uSH, uSW:
-				size := storeSize[op.code-uSB]
-				addr := regs[op.rs1&15] + op.imm
-				if addr&(size-1) != 0 {
-					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
-				}
-				region := layout.Classify(addr)
-				if region == RegionText || region == RegionNone {
-					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
-				}
-				if region == RegionPacket {
-					// Update the watermark on the CPU before the tracer
-					// runs, like the interpreter: a tracer panic must not
-					// lose the stores already recorded.
-					if end := addr + size; end > c.packetWriteHigh {
-						c.packetWriteHigh = end
-					}
-				}
-				tr.Mem(pc, addr, uint8(size), true, region)
-				pg := c.cachedPage(addr)
-				o := addr & (pageSize - 1)
-				switch op.code {
-				case uSB:
-					pg[o] = uint8(regs[op.rd&15])
-				case uSH:
-					binary.LittleEndian.PutUint16(pg[o:o+2:o+2], uint16(regs[op.rd&15]))
-				case uSW:
-					binary.LittleEndian.PutUint32(pg[o:o+4:o+4], regs[op.rd&15])
-				}
-
-			case uBEQ:
-				if regs[op.rs1&15] == regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBNE:
-				if regs[op.rs1&15] != regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBLT:
-				if int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]) {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBGE:
-				if int32(regs[op.rs1&15]) >= int32(regs[op.rs2&15]) {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBLTU:
-				if regs[op.rs1&15] < regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBGEU:
-				if regs[op.rs1&15] >= regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-
-			case uJAL:
-				if op.rd != 0 {
-					regs[op.rd&15] = pc + isa.WordSize
-				}
-				idx, pcv = branchTo(op, pc)
-				continue outer
-			case uJALR:
-				target := (regs[op.rs1&15] + op.imm) &^ 3
-				if op.rd != 0 {
-					regs[op.rd&15] = pc + isa.WordSize
-				}
-				idx, pcv = -1, target
-				continue outer
-
-			case uHALT:
-				c.PC = pc
-				return steps, StopHalt, nil
-			case uBAD:
-				c.PC = pc
-				return steps, 0, &Fault{Kind: FaultBadInstr, PC: pc}
-			}
-			pc += isa.WordSize
-		}
-		if uint32(end) < n {
-			idx = end
-		} else {
-			idx, pcv = -1, textBase+uint32(end)*isa.WordSize
-		}
-	}
-}
-
-var loadSize = [5]uint32{1, 1, 2, 2, 4} // uLB..uLW
-var storeSize = [3]uint32{1, 2, 4}      // uSB..uSW
 
 // Direct-mapped last-page cache --------------------------------------------
 

@@ -36,14 +36,13 @@ type engineResult struct {
 	mem    *Memory
 }
 
-// runEngine executes text on a fresh CPU with the given engine
-// (threaded or interpreter) and optional tracer factory.
+// runEngine executes text untraced on a fresh CPU with the given engine
+// (threaded or interpreter).
 func runEngine(t *testing.T, text []isa.Instruction, textBase uint32, maxSteps uint64,
-	threaded bool, tracer Tracer, seedRegs func(*CPU)) engineResult {
+	threaded bool, seedRegs func(*CPU)) engineResult {
 	t.Helper()
 	cpu := New(text, textBase, NewMemory())
 	cpu.Layout = testLayout(textBase, len(text))
-	cpu.Tracer = tracer
 	if seedRegs != nil {
 		seedRegs(cpu)
 	}
@@ -250,62 +249,16 @@ func TestThreadedMatchesInterpreter(t *testing.T) {
 				seed(c)
 				c.Regs[15] = ReturnAddress
 			}
-			want := runEngine(t, tc.text, base, tc.maxSteps, false, nil, seedRA)
-			got := runEngine(t, tc.text, base, tc.maxSteps, true, nil, seedRA)
+			want := runEngine(t, tc.text, base, tc.maxSteps, false, seedRA)
+			got := runEngine(t, tc.text, base, tc.maxSteps, true, seedRA)
 			requireSameResult(t, want, got, "untraced")
-
-			wt := &recordingTracer{}
-			gt := &recordingTracer{}
-			want = runEngine(t, tc.text, base, tc.maxSteps, false, wt, seedRA)
-			got = runEngine(t, tc.text, base, tc.maxSteps, true, gt, seedRA)
-			requireSameResult(t, want, got, "traced")
-			if !reflect.DeepEqual(wt.instrs, gt.instrs) {
-				t.Errorf("traced: Instr event streams differ:\ninterp:   %v\nthreaded: %v", wt.instrs, gt.instrs)
-			}
-			if !reflect.DeepEqual(wt.mems, gt.mems) {
-				t.Errorf("traced: Mem event streams differ:\ninterp:   %v\nthreaded: %v", wt.mems, gt.mems)
-			}
 		})
 	}
 }
 
-// recordingTracer captures the full tracer event streams for exact
-// cross-engine comparison.
-type recordingTracer struct {
-	instrs []uint32
-	mems   []memRec
-	blocks []blockRec
-}
-
-type memRec struct {
-	pc, addr uint32
-	size     uint8
-	write    bool
-	region   Region
-}
-
-type blockRec struct {
-	b      int
-	leader bool
-}
-
-func (r *recordingTracer) Instr(pc uint32, in isa.Instruction) { r.instrs = append(r.instrs, pc) }
-func (r *recordingTracer) Mem(pc, addr uint32, size uint8, write bool, region Region) {
-	r.mems = append(r.mems, memRec{pc, addr, size, write, region})
-}
-
-// blockRecorder additionally implements BlockTracer.
-type blockRecorder struct {
-	recordingTracer
-}
-
-func (r *blockRecorder) EnterBlock(b int, leader bool) {
-	r.blocks = append(r.blocks, blockRec{b, leader})
-}
-
 // TestThreadedMidBlockEntry drives a JALR into the middle of a basic
-// block (a computed target that is not a leader) and checks both the
-// architectural result and that EnterBlock reports leader=false.
+// block (a computed target that is not a leader) and checks the
+// architectural result against the interpreter.
 func TestThreadedMidBlockEntry(t *testing.T) {
 	const base = 0x00400000
 	// Block 0: addi, jalr. Block 1 (fall through target creation): the
@@ -320,45 +273,55 @@ func TestThreadedMidBlockEntry(t *testing.T) {
 		ins(isa.ADDI, 6, 6, 0, 8),           // base+20
 		ins(isa.HALT, 0, 0, 0, 0),
 	}
-	want := runEngine(t, text, base, 100, false, nil, nil)
-	rec := &blockRecorder{}
-	got := runEngine(t, text, base, 100, true, rec, nil)
-	// Traced vs untraced interpreter state must also agree.
+	want := runEngine(t, text, base, 100, false, nil)
+	got := runEngine(t, text, base, 100, true, nil)
 	requireSameResult(t, want, got, "mid-block entry")
 	if got.Regs[6] != 4+8 {
 		t.Fatalf("r6 = %d, want 12 (entered at base+16)", got.Regs[6])
 	}
-	foundMid := false
-	for _, b := range rec.blocks {
-		if !b.leader {
-			foundMid = true
-		}
-	}
-	if !foundMid {
-		t.Fatalf("no mid-block EnterBlock reported; blocks: %+v", rec.blocks)
-	}
 }
 
-// TestMultiTracerEnterBlock checks that MultiTracer forwards EnterBlock
-// to block-aware members and skips plain tracers.
-func TestMultiTracerEnterBlock(t *testing.T) {
+// TestTracedRunIsInterpreter pins the traced contract of RunProgram and
+// RunCompiled: with a Tracer attached both run the interpreter, so the
+// tracer sees every instruction and data access of the run, exactly as
+// under Run.
+func TestTracedRunIsInterpreter(t *testing.T) {
 	const base = 0x00400000
-	text := []isa.Instruction{
-		ins(isa.ADDI, 4, 0, 0, 1),
-		ins(isa.HALT, 0, 0, 0, 0),
+	text := dispatchProgram()
+	blocks := analysis.NewBlockMap(text, base)
+	facts := &TranslationFacts{Mem: make([]Region, len(text))}
+	facts.Mem[3], facts.Mem[6] = RegionPacket, RegionStack
+	prog := TranslateWithFacts(text, base, blocks, facts)
+	run := func(name string, exec func(c *CPU) (uint64, StopReason, error)) (engineResult, countingTracer) {
+		t.Helper()
+		cpu := New(text, base, NewMemory())
+		cpu.Layout = testLayout(base, len(text))
+		cpu.Regs[1], cpu.Regs[3] = cpu.Layout.PacketBase, 0x7FFF8000
+		cpu.PC = base
+		tr := &countingTracer{}
+		cpu.Tracer = tr
+		steps, reason, err := exec(cpu)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return engineResult{Regs: cpu.Regs, PC: cpu.PC, Steps: steps, Reason: reason,
+			High: cpu.PacketWriteHigh(), mem: cpu.Mem}, *tr
 	}
-	plain := &recordingTracer{}
-	aware := &blockRecorder{}
-	mt := MultiTracer{plain, aware}
-	res := runEngine(t, text, base, 100, true, mt, nil)
-	if res.Fault != nil {
-		t.Fatal(res.Fault)
+	want, wt := run("Run", func(c *CPU) (uint64, StopReason, error) { return c.Run(1 << 20) })
+	if wt.instrs != want.Steps || wt.mems == 0 {
+		t.Fatalf("Run: tracer saw %d instrs, %d mems over %d steps", wt.instrs, wt.mems, want.Steps)
 	}
-	if len(aware.blocks) == 0 {
-		t.Fatal("block-aware member saw no EnterBlock")
-	}
-	if len(plain.instrs) != 2 || len(aware.instrs) != 2 {
-		t.Fatalf("Instr fan-out broken: plain %d, aware %d", len(plain.instrs), len(aware.instrs))
+	for name, exec := range map[string]func(c *CPU) (uint64, StopReason, error){
+		"RunProgram": func(c *CPU) (uint64, StopReason, error) { return c.RunProgram(prog, 1<<20) },
+		"RunCompiled": func(c *CPU) (uint64, StopReason, error) {
+			return c.RunCompiled(Compile(prog, facts, CompileConfig{Hot: []int32{0, 3}}), 1<<20)
+		},
+	} {
+		got, gt := run(name, exec)
+		requireSameResult(t, want, got, name)
+		if gt != wt {
+			t.Errorf("%s: tracer saw %+v, Run's saw %+v", name, gt, wt)
+		}
 	}
 }
 

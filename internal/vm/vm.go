@@ -213,7 +213,7 @@ type CPU struct {
 	// Entries, when non-nil, receives the block-entry counts and checked
 	// memory-op counts of RunProgram's untraced loops (summary.go), and
 	// selects the plain loop when it asks for it (EntryCounts.SetPlain).
-	// The traced loop, the interpreter and the compiled tier ignore it.
+	// The interpreter and the compiled tier ignore it.
 	Entries *EntryCounts
 
 	text     []isa.Instruction

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -97,26 +96,14 @@ const fuzzMaxSteps = 50_000
 
 // checkEngineDiff is the machine-state half of FuzzEngineDiff (whose
 // record half needs the statistics collector and so lives in the
-// external test package): text runs through the reference interpreter
-// and the block-threaded engine, untraced and traced, and every
-// observable — registers, final PC, step count, stop reason, fault
-// kind/PC/Addr, packet watermark, memory image, tracer event streams —
-// must be bit-identical.
+// external test package): text runs untraced through the reference
+// interpreter and the block-threaded engine, and every observable —
+// registers, final PC, step count, stop reason, fault kind/PC/Addr,
+// packet watermark, memory image — must be bit-identical. A traced run
+// needs no comparison: RunProgram with a Tracer is the interpreter.
 func checkEngineDiff(t *testing.T, text []isa.Instruction) {
 	t.Helper()
-	want := runEngine(t, text, fuzzTextBase, fuzzMaxSteps, false, nil, fuzzSeedRegs)
-	got := runEngine(t, text, fuzzTextBase, fuzzMaxSteps, true, nil, fuzzSeedRegs)
+	want := runEngine(t, text, fuzzTextBase, fuzzMaxSteps, false, fuzzSeedRegs)
+	got := runEngine(t, text, fuzzTextBase, fuzzMaxSteps, true, fuzzSeedRegs)
 	requireSameResult(t, want, got, "untraced")
-
-	wt := &recordingTracer{}
-	gt := &recordingTracer{}
-	want = runEngine(t, text, fuzzTextBase, fuzzMaxSteps, false, wt, fuzzSeedRegs)
-	got = runEngine(t, text, fuzzTextBase, fuzzMaxSteps, true, gt, fuzzSeedRegs)
-	requireSameResult(t, want, got, "traced")
-	if !reflect.DeepEqual(wt.instrs, gt.instrs) {
-		t.Fatalf("Instr event streams differ (%d vs %d events)", len(wt.instrs), len(gt.instrs))
-	}
-	if !reflect.DeepEqual(wt.mems, gt.mems) {
-		t.Fatalf("Mem event streams differ (%d vs %d events)", len(wt.mems), len(gt.mems))
-	}
 }

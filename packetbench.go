@@ -115,9 +115,9 @@ type (
 	// results.
 	EngineKind = core.EngineKind
 	// Loop is the dispatch loop a bench actually ran (Bench.Loop): the
-	// interpreter, the threaded engine's traced loop, its untraced fast
-	// or fused loop (statistics, coverage and per-PC counts from block
-	// summaries), or the compiled tier.
+	// interpreter (every per-event run), the threaded engine's untraced
+	// fast or fused loop (statistics, coverage and per-PC counts from
+	// block summaries), or the compiled tier.
 	Loop = core.Loop
 	// ShedPolicy selects how a streaming pool reacts when its bounded
 	// backlog is full (Options.Shed): block the producer (lossless) or
