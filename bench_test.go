@@ -494,37 +494,11 @@ func BenchmarkProcessPacketSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolThroughput measures multi-core scaling of the work-queue
-// scheduler on the heaviest application (IPv4-radix). The packets/sec
-// metric should scale with the core count up to the host's parallelism.
-func BenchmarkPoolThroughput(b *testing.B) {
-	pkts, tbl := benchPackets(b)
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
-			pool, err := core.NewPool(NewIPv4Radix(tbl), n, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pool.RunPackets(pkts, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(b.N)*float64(len(pkts))/sec, "pkts/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkPoolStreaming measures the bounded-channel streaming path
-// (Pool.RunTrace) against the same workload and core counts, capturing
-// the scheduler's overhead relative to the in-memory cursor path above.
-// With 64-packet batches amortizing channel synchronization, streaming
-// pkts/sec should stay within ~10% of BenchmarkPoolThroughput at every
-// core count — the line-rate ingestion target.
+// BenchmarkPoolStreaming measures multi-core scaling of the pool's
+// streaming scheduler (Pool.RunTrace over a slice reader, the engine
+// behind every pool entry point) on the heaviest application
+// (IPv4-radix). The packets/sec metric should scale with the core count
+// up to the host's parallelism.
 func BenchmarkPoolStreaming(b *testing.B) {
 	pkts, tbl := benchPackets(b)
 	for _, n := range []int{1, 2, 4, 8} {

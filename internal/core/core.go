@@ -311,7 +311,7 @@ func retryDelay(base time.Duration, idx, a int) time.Duration {
 	return d + time.Duration(h%uint64(d/2+1))
 }
 
-// ShedPolicy selects what a streaming pool run does when the bounded
+// ShedPolicy selects what a pool run does when the bounded
 // backlog is full: the producer has a batch ready but every job slot is
 // occupied, meaning the source is outrunning the pool.
 type ShedPolicy int
@@ -421,8 +421,8 @@ type Options struct {
 	// makes no packet progress for this long has the run cancelled with
 	// a *StallError naming it. Zero disables the watchdog.
 	StallTimeout time.Duration
-	// Shed selects the overload policy of streaming pool runs (zero
-	// value: ShedBlock — backpressure, never drop).
+	// Shed selects the overload policy of pool runs (zero value:
+	// ShedBlock — backpressure, never drop).
 	Shed ShedPolicy
 	// Trace, when non-nil, arms the packet-journey tracer: each core
 	// records per-stage span events into its own ptrace lane (Pool core

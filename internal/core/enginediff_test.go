@@ -33,85 +33,6 @@ func enginePair(t *testing.T, app func() *core.App, opts core.Options) (interp, 
 	return interp, threaded
 }
 
-// TestEngineEquivalenceApps is the system-level half of the engine
-// equivalence contract: every bundled application processes a generated
-// trace on both engines and must produce bit-identical verdicts, packet
-// records (instruction counts, memory accesses, block sets and block
-// sequences), coverage footprints, packet-buffer contents, and final
-// memory images.
-func TestEngineEquivalenceApps(t *testing.T) {
-	pkts := mixedSizePackets(t, 30)
-	var dsts []uint32
-	for _, p := range pkts {
-		if h, err := packet.ParseIPv4(p.Data); err == nil {
-			dsts = append(dsts, h.Dst)
-		}
-	}
-	tbl := route.TableFromTraffic(dsts, 1024, 16, 1)
-
-	cases := []struct {
-		name string
-		app  func() *core.App
-	}{
-		{"radix", func() *core.App { return apps.IPv4Radix(tbl) }},
-		{"trie", func() *core.App { return apps.IPv4Trie(tbl) }},
-		{"flow", func() *core.App { return apps.FlowClassification(64) }},
-		{"tsa", func() *core.App { return apps.TSAApp(0x5453412D31363A31) }},
-		{"payload-scan", func() *core.App { return apps.PayloadScan([4]byte{0xDE, 0xAD, 0xBE, 0xEF}) }},
-		{"frag", func() *core.App { return apps.Frag(576) }},
-	}
-	opts := core.Options{KeepRecords: true, Detail: true, Coverage: true}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			interp, threaded := enginePair(t, tc.app, opts)
-			for i, p := range pkts {
-				wantRes, wantErr := interp.ProcessPacket(p)
-				gotRes, gotErr := threaded.ProcessPacket(p)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("packet %d: error divergence: interp %v, threaded %v", i, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					var wf, gf *vm.Fault
-					errors.As(wantErr, &wf)
-					errors.As(gotErr, &gf)
-					if !reflect.DeepEqual(wf, gf) {
-						t.Fatalf("packet %d: fault divergence: interp %+v, threaded %+v", i, wf, gf)
-					}
-					continue
-				}
-				if wantRes.Verdict != gotRes.Verdict {
-					t.Fatalf("packet %d: verdict %d vs %d", i, wantRes.Verdict, gotRes.Verdict)
-				}
-				if !reflect.DeepEqual(wantRes.Record, gotRes.Record) {
-					t.Fatalf("packet %d: record differs:\n  interp   %+v\n  threaded %+v",
-						i, wantRes.Record, gotRes.Record)
-				}
-				wb, gb := interp.PacketBytes(len(p.Data)), threaded.PacketBytes(len(p.Data))
-				if !reflect.DeepEqual(wb, gb) {
-					t.Fatalf("packet %d: packet buffer differs after processing", i)
-				}
-			}
-			wc, gc := interp.Collector(), threaded.Collector()
-			if !reflect.DeepEqual(wc.Records, gc.Records) {
-				t.Error("retained packet records differ")
-			}
-			if wc.InstrMemSize() != gc.InstrMemSize() ||
-				wc.DataMemSize() != gc.DataMemSize() ||
-				wc.PacketMemSize() != gc.PacketMemSize() {
-				t.Errorf("coverage differs: interp (%d,%d,%d), threaded (%d,%d,%d)",
-					wc.InstrMemSize(), wc.DataMemSize(), wc.PacketMemSize(),
-					gc.InstrMemSize(), gc.DataMemSize(), gc.PacketMemSize())
-			}
-			if !reflect.DeepEqual(wc.PCCounts, gc.PCCounts) {
-				t.Error("per-PC execution counts differ")
-			}
-			if !interp.Memory().Equal(threaded.Memory()) {
-				t.Error("final memory images differ")
-			}
-		})
-	}
-}
-
 // TestEngineEquivalenceFaults drives deliberately broken programs
 // (loaded with NoVerify) through both engines and checks that the
 // surfaced fault — kind, PC, address — is identical.
@@ -309,56 +230,6 @@ func TestCompiledEngineEquivalenceApps(t *testing.T) {
 				t.Fatalf("compiled chains never executed: stats %+v", st)
 			}
 		})
-	}
-}
-
-// diffPanicTracer panics with a non-Fault value on the first instruction
-// of a chosen packet, standing in for an instrumentation bug.
-type diffPanicTracer struct {
-	target int
-	armed  bool
-}
-
-func (p *diffPanicTracer) BeginPacket(index int) { p.armed = index == p.target }
-func (p *diffPanicTracer) Instr(pc uint32, in isa.Instruction) {
-	if p.armed {
-		p.armed = false
-		panic("tracer bug")
-	}
-}
-func (p *diffPanicTracer) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {}
-
-// TestCompiledEnginePanicEquivalence pins FaultHostPanic equivalence for
-// the compiled engine: a panicking tracer (which, being a tracer, sends
-// the engine to the interpreter — the documented traced-run contract)
-// surfaces the identical recovered FaultHostPanic on both engines, and
-// both benches keep working afterwards.
-func TestCompiledEnginePanicEquivalence(t *testing.T) {
-	pkts := mixedSizePackets(t, 4)
-	app := func() *core.App { return apps.FlowClassification(64) }
-	interp, compiled := compiledPair(t, app, core.Options{})
-	interp.AddTracer(&diffPanicTracer{target: 1})
-	compiled.AddTracer(&diffPanicTracer{target: 1})
-
-	for i, p := range pkts {
-		wantRes, wantErr := interp.ProcessPacket(p)
-		gotRes, gotErr := compiled.ProcessPacket(p)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("packet %d: error divergence: interp %v, compiled %v", i, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			var wf, gf *vm.Fault
-			if !errors.As(wantErr, &wf) || !errors.As(gotErr, &gf) {
-				t.Fatalf("packet %d: non-Fault error: interp %v, compiled %v", i, wantErr, gotErr)
-			}
-			if wf.Kind != vm.FaultHostPanic || !reflect.DeepEqual(wf, gf) {
-				t.Fatalf("packet %d: fault divergence: interp %+v, compiled %+v", i, wf, gf)
-			}
-			continue
-		}
-		if wantRes.Verdict != gotRes.Verdict {
-			t.Fatalf("packet %d: verdict %d vs %d", i, wantRes.Verdict, gotRes.Verdict)
-		}
 	}
 }
 

@@ -290,7 +290,8 @@ func TestPoolWorkerPanicRecovery(t *testing.T) {
 	for i := 0; i < pool.Cores(); i++ {
 		pool.Bench(i).AddTracer(&panicTracer{target: 3})
 	}
-	recs, err := pool.RunPackets(pkts, nil)
+	faulted := make([]bool, len(pkts))
+	recs, err := pool.RunPackets(pkts, func(i int, res Result) { faulted[i] = res.Faulted() })
 	if err != nil {
 		t.Fatalf("skip run failed: %v", err)
 	}
@@ -301,6 +302,9 @@ func TestPoolWorkerPanicRecovery(t *testing.T) {
 	for i, r := range recs {
 		if i != 3 && r.Faulted() {
 			t.Errorf("packet %d quarantined unexpectedly", i)
+		}
+		if faulted[i] != (i == 3) {
+			t.Errorf("onResult saw packet %d with Faulted() = %v, want %v", i, faulted[i], i == 3)
 		}
 	}
 }

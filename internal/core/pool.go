@@ -23,12 +23,14 @@ import (
 // the application's tables — the replicated-state regime of real
 // network-processor microengines.
 //
-// Scheduling is a shared work queue, not a fixed round-robin: workers
-// claim packet ranges from an atomic cursor (RunPackets) or pull packets
-// from a bounded channel fed by a trace reader (RunTrace), so skewed
-// per-packet costs never idle a core. The first core fault cancels the
-// run: the other workers observe a shared stop flag and exit at the next
-// packet boundary instead of burning CPU to completion, and external
+// Scheduling is a shared work queue, not a fixed round-robin: one
+// streaming engine reads packet batches from a trace.Reader into a
+// bounded channel that every worker pulls from, so skewed per-packet
+// costs never idle a core. RunTrace feeds it from any reader, RunPackets
+// from an in-memory slice; both get the same watchdog, deadline, shed
+// policy and journey tracing. The first core fault cancels the run: the
+// other workers observe a shared stop flag and exit at the next packet
+// boundary instead of burning CPU to completion, and external
 // cancellation is available through the Context variants.
 //
 // For per-packet-stateless applications (forwarding, anonymization,
@@ -126,20 +128,6 @@ func (p *Pool) SetBatchSize(n int) {
 	p.batchSize = n
 }
 
-// chunkFor sizes the work-queue claim: small enough that a handful of
-// expensive packets cannot serialize the run behind one core, large
-// enough that the atomic cursor is off the per-packet hot path.
-func chunkFor(packets, cores int) int {
-	chunk := packets / (cores * 8)
-	if chunk < 1 {
-		return 1
-	}
-	if chunk > 64 {
-		return 64
-	}
-	return chunk
-}
-
 // firstFailure retains the worker error with the lowest packet index, so
 // concurrent runs report the same failure a sequential run would have hit
 // first.
@@ -186,9 +174,12 @@ func (p *Pool) flightDump(runErr error) {
 
 // RunPackets processes the packets across the pool's cores concurrently
 // and returns one record per packet, in packet order, with Index
-// rewritten to the packet's position in pkts. onResult, when non-nil, is
-// invoked once per packet in packet order after the run completes. The
-// first core error cancels the remaining workers and aborts the run.
+// rewritten to the packet's position in pkts. It is RunTrace over the
+// slice: every Options field (StallTimeout, RunDeadline, Shed, Trace,
+// FlightPath) and SetBatchSize apply, and onResult, when non-nil, fires
+// once per packet in packet order as results commit, with the full
+// Result (Fault and Shed included). The first core error cancels the
+// remaining workers, aborts the run and returns no records.
 func (p *Pool) RunPackets(pkts []*trace.Packet, onResult func(int, Result)) ([]stats.PacketRecord, error) {
 	return p.RunPacketsContext(context.Background(), pkts, onResult)
 }
@@ -197,91 +188,15 @@ func (p *Pool) RunPackets(pkts []*trace.Packet, onResult func(int, Result)) ([]s
 // ctx stops every worker at its next packet boundary and the run returns
 // ctx's error.
 func (p *Pool) RunPacketsContext(ctx context.Context, pkts []*trace.Packet, onResult func(int, Result)) ([]stats.PacketRecord, error) {
-	if p.deadline > 0 {
-		var cancelT context.CancelFunc
-		ctx, cancelT = context.WithTimeout(ctx, p.deadline)
-		defer cancelT()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	records := make([]stats.PacketRecord, len(pkts))
-	var verdicts []uint32
-	if onResult != nil {
-		verdicts = make([]uint32, len(pkts))
-	}
-	chunk := chunkFor(len(pkts), len(p.benches))
-	// Quarantine allowance is per run and shared: N cores skipping up to
-	// N budgets' worth of packets would make the tolerated corruption
-	// scale with the machine, not the configuration.
-	bud := newErrorBudget(p.benches[0].policy.ErrorBudget)
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	var fail firstFailure
-	var wg sync.WaitGroup
-	for c, b := range p.benches {
-		wg.Add(1)
-		go func(c int, b *Bench) {
-			defer wg.Done()
-			for !stop.Load() {
-				start := int(cursor.Add(int64(chunk))) - chunk
-				if start >= len(pkts) {
-					return
-				}
-				end := start + chunk
-				if end > len(pkts) {
-					end = len(pkts)
-				}
-				for i := start; i < end; i++ {
-					if stop.Load() {
-						return
-					}
-					p.busy.Inc()
-					res, err := b.processUnderPolicy(i, pkts[i], bud)
-					p.busy.Dec()
-					if err != nil {
-						fail.report(i, fmt.Errorf("core %d: %w", c, err))
-						stop.Store(true)
-						cancel()
-						return
-					}
-					res.Record.Index = i
-					records[i] = res.Record
-					if verdicts != nil {
-						verdicts[i] = res.Verdict
-					}
-				}
-			}
-		}(c, b)
-	}
-
-	// Propagate external cancellation to the stop flag the workers poll.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-watchDone:
+	records := make([]stats.PacketRecord, 0, len(pkts))
+	_, err := p.runTrace(ctx, trace.NewSliceReader(pkts), 0, func(i int, res Result) {
+		records = append(records, res.Record)
+		if onResult != nil {
+			onResult(i, res)
 		}
-	}()
-	wg.Wait()
-	close(watchDone)
-
-	if err := fail.get(); err != nil {
-		p.flightDump(err)
+	}, nil)
+	if err != nil {
 		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		if p.deadline > 0 && errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("core: run deadline %v exceeded: %w", p.deadline, err)
-		}
-		p.flightDump(err)
-		return nil, err
-	}
-	if onResult != nil {
-		for i := range records {
-			onResult(i, Result{Verdict: verdicts[i], Record: records[i]})
-		}
 	}
 	return records, nil
 }
@@ -362,8 +277,8 @@ func (p *Pool) RunTraceCheckpointed(ctx context.Context, r trace.Reader, limit i
 	return p.runTrace(ctx, r, limit, onResult, ck)
 }
 
-// runTrace is the streaming run engine behind RunTraceContext and
-// RunTraceCheckpointed.
+// runTrace is the pool's one run engine, behind RunPacketsContext,
+// RunTraceContext and RunTraceCheckpointed.
 func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult func(int, Result), ck *Checkpointer) (int, error) {
 	deadline := p.deadline
 	if deadline > 0 {

@@ -290,24 +290,3 @@ func TestPoolExternalCancellation(t *testing.T) {
 		t.Errorf("RunTraceContext err = %v, want context.Canceled", err)
 	}
 }
-
-func TestChunkFor(t *testing.T) {
-	cases := []struct {
-		packets, cores, want int
-	}{
-		{0, 4, 1},
-		{10, 4, 1}, // fewer packets than cores*8: degenerate chunk
-		{3, 8, 1},  // fewer packets than cores
-		{1000, 4, 31},
-		{1 << 20, 4, 64},
-		{100, 1, 12},
-		{32, 4, 1},    // exact multiple of cores*8
-		{512, 4, 16},  // exact multiple, mid-range chunk
-		{2048, 4, 64}, // exact multiple landing on the cap
-	}
-	for _, c := range cases {
-		if got := chunkFor(c.packets, c.cores); got != c.want {
-			t.Errorf("chunkFor(%d, %d) = %d, want %d", c.packets, c.cores, got, c.want)
-		}
-	}
-}

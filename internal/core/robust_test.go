@@ -52,30 +52,63 @@ func mustPlan(t *testing.T, spec string) *faultinject.Injector {
 	return faultinject.New(2, plan)
 }
 
+// sliceRuns are the pool's two entry points over an in-memory packet
+// slice. Both run the one streaming engine, so every crash-only option
+// must act on both.
+var sliceRuns = []struct {
+	name string
+	run  func(p *Pool, pkts []*trace.Packet, onResult func(int, Result)) error
+}{
+	{"RunTrace", func(p *Pool, pkts []*trace.Packet, onResult func(int, Result)) error {
+		_, err := p.RunTrace(trace.NewSliceReader(pkts), 0, onResult)
+		return err
+	}},
+	{"RunPackets", func(p *Pool, pkts []*trace.Packet, onResult func(int, Result)) error {
+		_, err := p.RunPackets(pkts, onResult)
+		return err
+	}},
+}
+
+// finishWithin runs f on its own goroutine and fails the test when f
+// has not returned within limit, so a run that wedges fails the test
+// instead of hanging the binary (the wedged goroutine is left behind).
+func finishWithin(t *testing.T, limit time.Duration, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("run still going after %v", limit)
+		return nil
+	}
+}
+
 // TestStallWatchdog is the no-hang acceptance test: a worker wedged
 // inside a packet (an injected unbounded stall) must end the run with a
 // typed *StallError naming the stuck packet, within a small multiple of
 // the stall timeout — never hang it.
 func TestStallWatchdog(t *testing.T) {
 	const timeout = 100 * time.Millisecond
-	inj := mustPlan(t, "stall@5")
-	pool := poolWithPlan(t, 2, Options{StallTimeout: timeout}, inj)
-	pool.SetBatchSize(1)
-	start := time.Now()
-	_, err := pool.RunTrace(trace.NewSliceReader(derefPackets(16)), 0, nil)
-	elapsed := time.Since(start)
-	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *StallError", err)
-	}
-	if se.Index != 5 {
-		t.Errorf("stalled packet = %d, want 5", se.Index)
-	}
-	if se.Stalled < timeout {
-		t.Errorf("reported stall %v below the %v timeout", se.Stalled, timeout)
-	}
-	if elapsed > 10*time.Second {
-		t.Errorf("stalled run took %v to fail; the watchdog did not cancel it", elapsed)
+	for _, sr := range sliceRuns {
+		t.Run(sr.name, func(t *testing.T) {
+			pool := poolWithPlan(t, 2, Options{StallTimeout: timeout}, mustPlan(t, "stall@5"))
+			pool.SetBatchSize(1)
+			err := finishWithin(t, 10*time.Second, func() error {
+				return sr.run(pool, derefPackets(16), nil)
+			})
+			var se *StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("err = %v, want *StallError", err)
+			}
+			if se.Index != 5 {
+				t.Errorf("stalled packet = %d, want 5", se.Index)
+			}
+			if se.Stalled < timeout {
+				t.Errorf("reported stall %v below the %v timeout", se.Stalled, timeout)
+			}
+		})
 	}
 }
 
@@ -96,35 +129,61 @@ func TestDelayDoesNotTripWatchdog(t *testing.T) {
 }
 
 // TestRunDeadline: a pool run past Options.RunDeadline is cancelled with
-// an error that wraps context.DeadlineExceeded.
+// an error that wraps context.DeadlineExceeded — for slow packets, and
+// for a worker wedged in an unbounded stall, which the cancelled run
+// context unwedges.
 func TestRunDeadline(t *testing.T) {
-	plan := make([]faultinject.Injection, 16)
-	for i := range plan {
-		plan[i] = faultinject.Injection{Index: i, Kind: faultinject.Delay, Arg: 30}
-	}
-	inj := faultinject.New(1, plan)
-	pool := poolWithPlan(t, 2, Options{RunDeadline: 60 * time.Millisecond}, inj)
-	pool.SetBatchSize(1)
-	_, err := pool.RunTrace(inj.Reader(trace.NewSliceReader(derefPackets(16))), 0, nil)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want wrapped DeadlineExceeded", err)
-	}
-	if !strings.Contains(err.Error(), "deadline") {
-		t.Errorf("deadline error does not say so: %v", err)
+	const deadline = 60 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		// start builds the pool and returns the run to time.
+		start func(t *testing.T) func() error
+	}{
+		{"RunTrace", func(t *testing.T) func() error {
+			plan := make([]faultinject.Injection, 16)
+			for i := range plan {
+				plan[i] = faultinject.Injection{Index: i, Kind: faultinject.Delay, Arg: 30}
+			}
+			inj := faultinject.New(1, plan)
+			pool := poolWithPlan(t, 2, Options{RunDeadline: deadline}, inj)
+			pool.SetBatchSize(1)
+			return func() error {
+				_, err := pool.RunTrace(inj.Reader(trace.NewSliceReader(derefPackets(16))), 0, nil)
+				return err
+			}
+		}},
+		{"RunPacketsContext", func(t *testing.T) func() error {
+			pool := poolWithPlan(t, 2, Options{RunDeadline: deadline}, mustPlan(t, "stall@5"))
+			pool.SetBatchSize(1)
+			return func() error {
+				_, err := pool.RunPacketsContext(context.Background(), derefPackets(16), nil)
+				return err
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := finishWithin(t, 10*time.Second, tc.start(t))
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want wrapped DeadlineExceeded", err)
+			}
+			if !strings.Contains(err.Error(), "deadline") {
+				t.Errorf("deadline error does not say so: %v", err)
+			}
+		})
 	}
 }
 
 // shedRun floods a 1-core pool whose first packet is slow, so the
 // 4-job backlog fills and the shed policy decides the overflow's fate.
 // It returns the per-index delivery counts and the shed total.
-func shedRun(t *testing.T, n int, opts Options) (seen []int, shed int, err error) {
+func shedRun(t *testing.T, n int, opts Options, run func(*Pool, []*trace.Packet, func(int, Result)) error) (seen []int, shed int, err error) {
 	t.Helper()
 	plan := []faultinject.Injection{{Index: 0, Kind: faultinject.Delay, Arg: 80}}
 	inj := faultinject.New(1, plan)
 	pool := poolWithPlan(t, 1, opts, inj)
 	pool.SetBatchSize(1)
 	seen = make([]int, n)
-	_, err = pool.RunTrace(trace.NewSliceReader(derefPackets(n)), 0, func(i int, res Result) {
+	err = run(pool, derefPackets(n), func(i int, res Result) {
 		seen[i]++
 		if res.Shed {
 			shed++
@@ -135,7 +194,7 @@ func shedRun(t *testing.T, n int, opts Options) (seen []int, shed int, err error
 
 // TestShedPoliciesExactlyOnce: under overload, every trace index is
 // delivered exactly once — as a measurement or as a shed marker — and
-// dropping policies actually drop.
+// dropping policies actually drop, while the blocking policy never does.
 func TestShedPoliciesExactlyOnce(t *testing.T) {
 	const n = 60
 	for _, tc := range []struct {
@@ -144,50 +203,48 @@ func TestShedPoliciesExactlyOnce(t *testing.T) {
 	}{
 		{"drop-newest", ShedDropNewest},
 		{"drop-oldest", ShedDropOldest},
+		{"block", ShedBlock},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seen, shed, err := shedRun(t, n, Options{Shed: tc.shed})
-			if err != nil {
-				t.Fatalf("shed run failed: %v", err)
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("index %d delivered %d times, want exactly once", i, c)
-				}
-			}
-			if shed == 0 {
-				t.Error("overloaded run shed nothing")
+			for _, sr := range sliceRuns {
+				t.Run(sr.name, func(t *testing.T) {
+					seen, shed, err := shedRun(t, n, Options{Shed: tc.shed}, sr.run)
+					if err != nil {
+						t.Fatalf("%s run failed: %v", tc.name, err)
+					}
+					for i, c := range seen {
+						if c != 1 {
+							t.Fatalf("index %d delivered %d times, want exactly once", i, c)
+						}
+					}
+					if tc.shed == ShedBlock && shed != 0 {
+						t.Errorf("lossless policy shed %d packets", shed)
+					}
+					if tc.shed != ShedBlock && shed == 0 {
+						t.Error("overloaded run shed nothing")
+					}
+				})
 			}
 		})
 	}
-	t.Run("block", func(t *testing.T) {
-		seen, shed, err := shedRun(t, n, Options{})
-		if err != nil {
-			t.Fatalf("blocking run failed: %v", err)
-		}
-		if shed != 0 {
-			t.Errorf("lossless policy shed %d packets", shed)
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("index %d delivered %d times", i, c)
-			}
-		}
-	})
 }
 
 // TestShedChargesErrorBudget: shedding is loss and spends the same
 // budget quarantines do; exhausting it aborts the run.
 func TestShedChargesErrorBudget(t *testing.T) {
-	_, _, err := shedRun(t, 80, Options{
-		Shed:   ShedDropNewest,
-		Errors: ErrorPolicy{Policy: SkipAndRecord, ErrorBudget: 3},
-	})
-	if err == nil || !strings.Contains(err.Error(), "shedding") {
-		t.Fatalf("err = %v, want budget-exhausted shed abort", err)
-	}
-	if !strings.Contains(err.Error(), "error budget") {
-		t.Errorf("shed abort does not name the budget: %v", err)
+	for _, sr := range sliceRuns {
+		t.Run(sr.name, func(t *testing.T) {
+			_, _, err := shedRun(t, 80, Options{
+				Shed:   ShedDropNewest,
+				Errors: ErrorPolicy{Policy: SkipAndRecord, ErrorBudget: 3},
+			}, sr.run)
+			if err == nil || !strings.Contains(err.Error(), "shedding") {
+				t.Fatalf("err = %v, want budget-exhausted shed abort", err)
+			}
+			if !strings.Contains(err.Error(), "error budget") {
+				t.Errorf("shed abort does not name the budget: %v", err)
+			}
+		})
 	}
 }
 

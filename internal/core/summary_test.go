@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // summaryLoops are the two untraced loops a records-mode run on the
@@ -96,9 +98,10 @@ func oraclePair(t *testing.T, app func() *core.App, opts core.Options) (oracle, 
 }
 
 // requireOracleRecords runs pkts on both benches and requires identical
-// results — verdicts, faults and DeepEqual records (Fault and Blocks
-// included), and the run-wide outputs the oracle collects — and that the
-// threaded bench ran on wantLoop from block summaries, for reason why.
+// results — verdicts, faults, DeepEqual records (Fault and Blocks
+// included), the packet buffer after each packet, and the run-wide
+// outputs the oracle collects — and that the threaded bench ran on
+// wantLoop from block summaries, for reason why.
 func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.Packet, wantLoop core.Loop, why string) {
 	t.Helper()
 	for i, p := range pkts {
@@ -115,6 +118,9 @@ func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.P
 		}
 		if !reflect.DeepEqual(want.Record, res.Record) {
 			t.Fatalf("packet %d: record differs:\n  oracle   %+v\n  threaded %+v", i, want.Record, res.Record)
+		}
+		if !bytes.Equal(oracle.PacketBytes(len(p.Data)), got.PacketBytes(len(p.Data))) {
+			t.Fatalf("packet %d: packet buffer differs after processing", i)
 		}
 	}
 	if !reflect.DeepEqual(oracle.Collector().Records, got.Collector().Records) {
@@ -448,11 +454,12 @@ func TestLoopSelection(t *testing.T) {
 		{"countpcs", core.Options{}, func(b *core.Bench) { b.Collector().CountPCs = true }, core.LoopFast, core.ReasonCountPCs},
 		{"detail", core.Options{Detail: true}, nil, core.LoopInterp, core.ReasonDetail},
 		{"coverage-detail", core.Options{Coverage: true, Detail: true}, nil, core.LoopInterp, core.ReasonDetail},
-		{"extra-tracer", core.Options{}, func(b *core.Bench) { b.AddTracer(&diffPanicTracer{target: -1}) }, core.LoopInterp, core.ReasonExtraTracer},
+		{"extra-tracer", core.Options{}, func(b *core.Bench) { b.AddTracer(vm.MultiTracer{}) }, core.LoopInterp, core.ReasonExtraTracer},
 		{"interp", core.Options{Engine: core.EngineInterpreter}, nil, core.LoopInterp, core.ReasonInterp},
 		{"compiled", core.Options{Engine: core.EngineCompiled}, nil, core.LoopFused, core.ReasonRecords},
 		{"compiled-coverage", core.Options{Engine: core.EngineCompiled, Coverage: true}, nil, core.LoopFast, core.ReasonCoverage},
 		{"compiled-detail", core.Options{Engine: core.EngineCompiled, Detail: true}, nil, core.LoopInterp, core.ReasonDetail},
+		{"compiled-extra-tracer", core.Options{Engine: core.EngineCompiled}, func(b *core.Bench) { b.AddTracer(vm.MultiTracer{}) }, core.LoopInterp, core.ReasonExtraTracer},
 		{"compiled-untraced", core.Options{Engine: core.EngineCompiled}, func(b *core.Bench) { b.SetTracing(false) }, core.LoopCompiled, core.ReasonUntraced},
 		{"untraced", core.Options{}, func(b *core.Bench) { b.SetTracing(false) }, core.LoopFused, core.ReasonUntraced},
 	}

@@ -406,10 +406,10 @@ func CompareTopologies(name string, w Workload, h Hardware, meanPacketBytes floa
 	return npmodel.CompareTopologies(name, w, h, meanPacketBytes)
 }
 
-// Pool runs one application on several independent simulated cores via a
-// chunked work-queue scheduler with first-error cancellation and a
-// streaming RunTrace for traces too large to hold in memory; see
-// core.Pool.
+// Pool runs one application on several independent simulated cores via
+// one streaming work-queue scheduler with first-error cancellation:
+// RunTrace feeds it from a reader (traces too large to hold in memory),
+// RunPackets from a slice, with the same run options; see core.Pool.
 type Pool = core.Pool
 
 // NewPool builds a pool of n simulated cores running app.
