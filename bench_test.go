@@ -521,6 +521,29 @@ func BenchmarkPoolStreaming(b *testing.B) {
 	}
 }
 
+// BenchmarkBenchRunTrace measures the single-core characterization
+// frame: Bench.RunTrace of flow classification over generated LAN
+// packets with coverage on, keeping every record. B/op and allocs/op
+// cover one whole trace (records and block sets included).
+func BenchmarkBenchRunTrace(b *testing.B) {
+	pkts := GenerateTrace("LAN", 10_000)
+	bench, err := core.New(NewFlowClassification(0), core.Options{Coverage: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bench.RunTrace(trace.NewSliceReader(pkts), 0, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N)*float64(len(pkts))/sec, "pkts/sec")
+	}
+}
+
 func BenchmarkSimPayloadScan(b *testing.B) {
 	pkts, _ := benchPackets(b)
 	benchmarkApp(b, NewPayloadScan([4]byte{1, 2, 3, 4}), pkts)

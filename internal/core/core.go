@@ -395,8 +395,6 @@ type Options struct {
 	Detail bool
 	// Coverage enables whole-run memory coverage tracking.
 	Coverage bool
-	// KeepRecords retains every packet record on the collector.
-	KeepRecords bool
 	// Errors selects the fault-handling policy (zero value: FailFast).
 	Errors ErrorPolicy
 	// Engine selects the execution engine (zero value: EngineThreaded).
@@ -691,7 +689,6 @@ func New(app *App, opts Options) (*Bench, error) {
 	col := stats.NewCollector(prog.Text, prog.TextBase, blocks, cpu.Layout)
 	col.Detail = opts.Detail
 	col.Coverage = opts.Coverage
-	col.KeepRecords = opts.KeepRecords
 
 	var tprog *vm.Program
 	var cprog *vm.CompiledProgram
@@ -856,7 +853,9 @@ type packetBoundaryTracer interface{ BeginPacket(index int) }
 // and a nil error; FailFast — the default — returns the fault as an
 // error, as it always has.
 func (b *Bench) ProcessPacket(p *trace.Packet) (Result, error) {
-	return b.processUnderPolicy(b.col.Packets(), p, b.budget)
+	var res Result
+	err := b.processUnderPolicy(b.col.Packets(), p, b.budget, &res)
+	return res, err
 }
 
 // ProcessPacketAt is ProcessPacket for a packet at a known trace
@@ -864,12 +863,15 @@ func (b *Bench) ProcessPacket(p *trace.Packet) (Result, error) {
 // injection plan keyed on trace indexes fires on the right packets no
 // matter which core the packet was scheduled on.
 func (b *Bench) ProcessPacketAt(idx int, p *trace.Packet) (Result, error) {
-	return b.processUnderPolicy(idx, p, b.budget)
+	var res Result
+	err := b.processUnderPolicy(idx, p, b.budget, &res)
+	return res, err
 }
 
 // processUnderPolicy applies the bench's error policy around packet
-// attempts, drawing quarantine slots from bud.
-func (b *Bench) processUnderPolicy(idx int, p *trace.Packet, bud *errorBudget) (Result, error) {
+// attempts, drawing quarantine slots from bud, and fills res with the
+// packet's result. On error res is zeroed.
+func (b *Bench) processUnderPolicy(idx int, p *trace.Packet, bud *errorBudget, res *Result) error {
 	attempts := 1
 	if b.policy.Policy == Retry {
 		attempts = b.policy.MaxAttempts
@@ -883,45 +885,60 @@ func (b *Bench) processUnderPolicy(idx int, p *trace.Packet, bud *errorBudget) (
 				b.lane.RetryWait(int64(idx), a, int64(d))
 			}
 		}
-		var res Result
-		res, fault, err = b.processOnce(idx, p, a)
+		fault, err = b.processOnce(idx, p, a, res)
 		if err == nil {
 			b.lane.EndPacket(int64(idx), res.Verdict, 0, res.Record.Blocks)
-			return res, nil
+			return nil
 		}
 		if fault == nil || b.policy.Policy == FailFast {
 			// FailFast runs and non-fault errors abort immediately. The
 			// open journey stays in the flight recorder, where the
 			// post-mortem dump picks it up.
-			return Result{}, err
+			*res = Result{}
+			return err
 		}
 	}
 	// SkipAndRecord, or Retry with its attempts exhausted: quarantine.
 	if !bud.take() {
-		return Result{}, fmt.Errorf("core: error budget of %d exhausted: %w", b.policy.ErrorBudget, err)
+		*res = Result{}
+		return fmt.Errorf("core: error budget of %d exhausted: %w", b.policy.ErrorBudget, err)
 	}
 	b.metrics.fault(fault.Kind)
 	b.lane.Quarantine(int64(idx), uint8(fault.Kind)+1)
 	b.lane.EndPacket(int64(idx), 0, uint8(fault.Kind)+1, nil)
-	return Result{Record: b.col.AbortPacket(fault.Kind), Fault: fault}, nil
+	*res = Result{Record: b.col.AbortPacket(fault.Kind), Fault: fault}
+	return nil
 }
 
+// clockEpoch anchors monoNanos.
+var clockEpoch = time.Now()
+
+// monoNanos reads the monotonic clock alone, in nanoseconds since
+// clockEpoch: one clock read, where time.Now also reads the wall clock.
+func monoNanos() int64 { return int64(time.Since(clockEpoch)) }
+
 // processOnce runs one attempt: placement, dispatch, guarded execution.
-// On failure the *vm.Fault behind the error is returned alongside it
-// (nil for errors no policy may absorb).
-func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.Fault, error) {
-	var start time.Time
+// On success it fills res (Verdict and Record; Fault and Shed cleared)
+// and leaves it untouched otherwise. On failure the *vm.Fault behind the
+// error is returned alongside it (nil for errors no policy may absorb).
+//
+// With telemetry armed the attempt takes one clock reading at the start
+// and one at the end; an armed journey lane's ExecBegin/ExecEnd readings
+// serve as that pair.
+func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int, res *Result) (*vm.Fault, error) {
 	if b.metrics != nil {
 		b.metrics.attempts.Inc()
-		start = time.Now()
 	}
 	n := len(p.Data)
 	if n > MaxPacketLen {
 		f := &vm.Fault{Kind: vm.FaultOversizePacket}
-		return Result{}, f, fmt.Errorf("core: %s: packet %d: packet of %d bytes exceeds buffer: %w",
+		return f, fmt.Errorf("core: %s: packet %d: packet of %d bytes exceeds buffer: %w",
 			b.app.Name, idx, n, f)
 	}
 	t0 := b.lane.ExecBegin(int64(idx), attempt)
+	if b.metrics != nil && b.lane == nil {
+		t0 = monoNanos()
+	}
 	// Place the packet. WriteBytes overwrites [0, n), so only the tail
 	// [n, dirtyLen) can still hold stale bytes from a longer previous
 	// packet (or from stores the previous run issued past its own
@@ -958,34 +975,37 @@ func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.
 		b.dirtyLen = int(high - PacketBase)
 	}
 	if err != nil {
-		if b.metrics != nil {
-			b.metrics.latency.Observe(uint64(time.Since(start)))
-		}
 		var f *vm.Fault
 		errors.As(err, &f)
 		var fk uint8
 		if f != nil {
 			fk = uint8(f.Kind) + 1
 		}
-		b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.loop), 0, 0, fk)
-		return Result{}, f, fmt.Errorf("core: %s: packet %d: %w", b.app.Name, idx, err)
+		t1 := b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.loop), 0, 0, fk)
+		if b.metrics != nil {
+			if b.lane == nil {
+				t1 = monoNanos()
+			}
+			b.metrics.latency.Observe(uint64(t1 - t0))
+		}
+		return f, fmt.Errorf("core: %s: packet %d: %w", b.app.Name, idx, err)
 	}
-	rec := b.col.EndPacket()
+	res.Record = b.col.EndPacket()
+	res.Verdict = b.cpu.Reg(isa.A0)
+	res.Fault, res.Shed = nil, false
 	b.processed++
-	verdict := b.cpu.Reg(isa.A0)
-	b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.loop), rec.Instructions, verdict, 0)
+	t1 := b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.loop), res.Record.Instructions, res.Verdict, 0)
 	if b.metrics != nil {
-		d := uint64(time.Since(start))
-		if b.lane != nil {
+		if b.lane == nil {
+			b.metrics.latency.Observe(uint64(monoNanos() - t0))
+		} else {
 			// A journey tracer links the latency histogram's buckets to
 			// span ids (the packet index) for exemplar chasing.
-			b.metrics.latency.ObserveEx(d, uint64(idx))
-		} else {
-			b.metrics.latency.Observe(d)
+			b.metrics.latency.ObserveEx(uint64(t1-t0), uint64(idx))
 		}
-		b.metrics.measured(&rec)
+		b.metrics.measured(&res.Record)
 	}
-	return Result{Verdict: verdict, Record: rec}, nil, nil
+	return nil, nil
 }
 
 // runGuarded executes the simulator with a panic barrier: a panicking
@@ -1068,39 +1088,66 @@ func (b *Bench) PacketBytes(n int) []byte {
 	return b.mem.ReadBytes(PacketBase, n)
 }
 
+// recordChunk is how many records RunTrace keeps per chunk before it
+// starts the next one.
+const recordChunk = 4096
+
 // RunTrace processes every packet from the reader (up to limit packets;
-// limit <= 0 means all) and returns the per-packet records. Verdicts are
-// passed to onResult when non-nil.
+// limit <= 0 means all) and returns the per-packet records in trace
+// order. Results are passed to onResult when non-nil. On a reader or
+// processing error it returns the records of the packets processed
+// before it along with the error.
+//
+// Records are kept in fixed-size chunks while the run goes and copied
+// into the returned slice once at the end, so a long run allocates
+// about twice its records' size rather than regrowing one slice.
 func (b *Bench) RunTrace(r trace.Reader, limit int, onResult func(int, Result)) ([]stats.PacketRecord, error) {
 	bud := newErrorBudget(b.policy.ErrorBudget)
-	var records []stats.PacketRecord
+	var (
+		full [][]stats.PacketRecord
+		cur  []stats.PacketRecord
+		res  Result
+		err  error
+	)
 	for i := 0; limit <= 0 || i < limit; i++ {
-		p, err := r.Next()
-		if err == io.EOF {
+		var p *trace.Packet
+		if p, err = r.Next(); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
 			break
 		}
-		if err != nil {
-			return records, err
+		if err = b.processUnderPolicy(i, p, bud, &res); err != nil {
+			break
 		}
-		res, err := b.processUnderPolicy(i, p, bud)
-		if err != nil {
-			return records, err
+		if len(cur) == cap(cur) {
+			if cur != nil {
+				full = append(full, cur)
+			}
+			cur = make([]stats.PacketRecord, 0, recordChunk)
 		}
-		records = append(records, res.Record)
+		cur = append(cur, res.Record)
 		if onResult != nil {
 			onResult(i, res)
 		}
 	}
-	return records, nil
+	if len(full) == 0 {
+		return cur, err
+	}
+	records := make([]stats.PacketRecord, 0, len(full)*recordChunk+len(cur))
+	for _, c := range full {
+		records = append(records, c...)
+	}
+	return append(records, cur...), err
 }
 
 // RunPackets processes a pre-loaded packet slice and returns the records.
 func (b *Bench) RunPackets(pkts []*trace.Packet, onResult func(int, Result)) ([]stats.PacketRecord, error) {
 	bud := newErrorBudget(b.policy.ErrorBudget)
 	records := make([]stats.PacketRecord, 0, len(pkts))
+	var res Result
 	for i, p := range pkts {
-		res, err := b.processUnderPolicy(i, p, bud)
-		if err != nil {
+		if err := b.processUnderPolicy(i, p, bud, &res); err != nil {
 			return records, err
 		}
 		records = append(records, res.Record)

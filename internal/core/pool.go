@@ -518,19 +518,21 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 						wd.begin(c, j.base+k)
 					}
 					p.busy.Inc()
-					res, err := b.processUnderPolicy(j.base+k, pkt, bud)
+					out.res = append(out.res, Result{})
+					res := &out.res[len(out.res)-1]
+					err := b.processUnderPolicy(j.base+k, pkt, bud, res)
 					p.busy.Dec()
 					if wd != nil {
 						wd.end(c)
 					}
 					if err != nil {
+						out.res = out.res[:len(out.res)-1]
 						fail.report(j.base+k, fmt.Errorf("core %d: %w", c, err))
 						stop.Store(true)
 						cancel()
 						break
 					}
 					res.Record.Index = j.base + k
-					out.res = append(out.res, res)
 				}
 				if len(out.res) > 0 {
 					select {

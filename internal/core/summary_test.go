@@ -79,7 +79,6 @@ func (m summaryMode) pair(t *testing.T, app func() *core.App, opts core.Options)
 // Retry) so faulted records are compared too.
 func oraclePair(t *testing.T, app func() *core.App, opts core.Options) (oracle, got *core.Bench) {
 	t.Helper()
-	opts.KeepRecords = true
 	if opts.Errors.Policy != core.Retry {
 		opts.Errors = core.ErrorPolicy{Policy: core.SkipAndRecord}
 	}
@@ -101,9 +100,11 @@ func oraclePair(t *testing.T, app func() *core.App, opts core.Options) (oracle, 
 // results — verdicts, faults, DeepEqual records (Fault and Blocks
 // included), the packet buffer after each packet, and the run-wide
 // outputs the oracle collects — and that the threaded bench ran on
-// wantLoop from block summaries, for reason why.
-func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.Packet, wantLoop core.Loop, why string) {
+// wantLoop from block summaries, for reason why. It returns the threaded
+// bench's records.
+func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.Packet, wantLoop core.Loop, why string) []stats.PacketRecord {
 	t.Helper()
+	var wantRecs, gotRecs []stats.PacketRecord
 	for i, p := range pkts {
 		want, werr := oracle.ProcessPacket(p)
 		res, gerr := got.ProcessPacket(p)
@@ -122,23 +123,23 @@ func requireOracleRecords(t *testing.T, oracle, got *core.Bench, pkts []*trace.P
 		if !bytes.Equal(oracle.PacketBytes(len(p.Data)), got.PacketBytes(len(p.Data))) {
 			t.Fatalf("packet %d: packet buffer differs after processing", i)
 		}
+		wantRecs, gotRecs = append(wantRecs, want.Record), append(gotRecs, res.Record)
 	}
-	if !reflect.DeepEqual(oracle.Collector().Records, got.Collector().Records) {
-		t.Error("retained records differ")
-	}
-	requireOracleRunWide(t, oracle, got)
+	requireOracleRunWide(t, oracle, got, wantRecs, gotRecs)
 	if loop, gotWhy := got.Loop(); loop != wantLoop || gotWhy != why {
 		t.Errorf("threaded bench ran %v (%s), want %v (%s) from block summaries", loop, gotWhy, wantLoop, why)
 	}
 	if loop, _ := oracle.Loop(); loop != core.LoopInterp {
 		t.Errorf("oracle ran %v, want the interpreter", loop)
 	}
+	return gotRecs
 }
 
 // requireOracleRunWide requires the run-wide outputs the oracle collects
-// — coverage sizes and the coverage curve, per-PC counts — to match
-// exactly, and to be non-empty so the comparison means something.
-func requireOracleRunWide(t *testing.T, oracle, got *core.Bench) {
+// — coverage sizes and the coverage curve over the two benches' records,
+// per-PC counts — to match exactly, and to be non-empty so the
+// comparison means something.
+func requireOracleRunWide(t *testing.T, oracle, got *core.Bench, wantRecs, gotRecs []stats.PacketRecord) {
 	t.Helper()
 	oc, gc := oracle.Collector(), got.Collector()
 	if oc.Coverage {
@@ -158,8 +159,8 @@ func requireOracleRunWide(t *testing.T, oracle, got *core.Bench) {
 			t.Error("oracle covered no instructions")
 		}
 		n := oracle.BlockMap().NumBlocks()
-		want := analysis.CoverageCurve(stats.BlockSets(oc.Records), n)
-		if have := analysis.CoverageCurve(stats.BlockSets(gc.Records), n); !reflect.DeepEqual(want, have) {
+		want := analysis.CoverageCurve(stats.BlockSets(wantRecs), n)
+		if have := analysis.CoverageCurve(stats.BlockSets(gotRecs), n); !reflect.DeepEqual(want, have) {
 			t.Error("coverage curves differ")
 		}
 	}
@@ -361,8 +362,8 @@ func TestBlockSummaryMidBlockEntry(t *testing.T) {
 	for _, l := range summaryLoops {
 		t.Run(l.name, func(t *testing.T) {
 			oracle, got := oraclePair(t, app, core.Options{NoVerify: l.noVerify})
-			requireOracleRecords(t, oracle, got, pkts, l.loop, core.ReasonRecords)
-			if r := got.Collector().Records[0]; r.Unique != 12 || r.Instructions != 15 {
+			recs := requireOracleRecords(t, oracle, got, pkts, l.loop, core.ReasonRecords)
+			if r := recs[0]; r.Unique != 12 || r.Instructions != 15 {
 				t.Errorf("record %+v, want 15 instructions over 12 unique", r)
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ptrace"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -215,5 +216,37 @@ func TestBenchTelemetryCompiledTier(t *testing.T) {
 	key := telemetry.MetricCompiledExits + `{reason="` + vm.CexitJalr.String() + `"}`
 	if s.Counters[key] == 0 {
 		t.Errorf("no %s series; have %v", key, s.Counters)
+	}
+}
+
+// TestLatencyFromLaneClock pins one clock pair per attempt: with a
+// journey lane armed, the latency histogram is fed from the lane's own
+// ExecBegin/ExecEnd readings, not from a second clock. The injected lane
+// clock advances one tick per read, so every packet's latency is
+// exactly one tick.
+func TestLatencyFromLaneClock(t *testing.T) {
+	const tick, n = 1000, 10
+	var now int64
+	tr := ptrace.New(ptrace.Config{Lanes: 1, Clock: func() int64 { now += tick; return now }})
+	reg := telemetry.NewRegistry()
+	b, err := New(&App{Name: "tm", Source: telemetrySrc, Entry: "main"},
+		Options{Metrics: reg, Trace: tr, NoVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RunPackets(telemetryPackets(n), nil); err != nil {
+		t.Fatal(err)
+	}
+	lat := reg.Snapshot().Histograms[telemetry.MetricPacketLatency]
+	if lat.Count != n || lat.Sum != n*tick {
+		t.Errorf("packet_latency_ns count %d sum %d, want %d packets of one %d-ns tick each", lat.Count, lat.Sum, n, tick)
+	}
+	if len(lat.Exemplars) == 0 {
+		t.Fatal("no exemplars with a journey lane armed")
+	}
+	for _, e := range lat.Exemplars {
+		if e.Value != tick || e.Span >= n {
+			t.Errorf("exemplar %+v, want value %d from a packet index below %d", e, tick, n)
+		}
 	}
 }

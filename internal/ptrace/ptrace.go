@@ -429,13 +429,14 @@ func (l *Lane) ExecBegin(idx int64, attempt int) int64 {
 	return now
 }
 
-// ExecEnd closes the attempt span opened by ExecBegin. fault is the
-// vm.FaultKind ordinal + 1 of a failed attempt (0 = success).
+// ExecEnd closes the attempt span opened by ExecBegin and returns the
+// span end (0 on a nil lane). fault is the vm.FaultKind ordinal + 1 of a
+// failed attempt (0 = success).
 //
 // pblint:hotpath — runs once per execution attempt.
-func (l *Lane) ExecEnd(start, idx int64, attempt int, engine uint8, instrs uint64, verdict uint32, fault uint8) {
+func (l *Lane) ExecEnd(start, idx int64, attempt int, engine uint8, instrs uint64, verdict uint32, fault uint8) int64 {
 	if l == nil {
-		return
+		return 0
 	}
 	now := l.t.clock()
 	ev := Event{Stage: StageExec, Lane: l.id, Index: idx, Start: start, Dur: now - start,
@@ -443,6 +444,7 @@ func (l *Lane) ExecEnd(start, idx int64, attempt int, engine uint8, instrs uint6
 	l.record(ev)
 	l.cur.add(ev)
 	l.stageAdd(StageExec, ev.Dur)
+	return now
 }
 
 // RetryWait records the backoff pause that preceded retry attempt

@@ -157,7 +157,6 @@ func (e *Env) app(name string) *core.App {
 // Run executes app on the first n packets of the named trace and returns
 // the bench (for coverage queries) and records.
 func (e *Env) Run(appName, traceName string, n int, opts core.Options) (*core.Bench, []stats.PacketRecord, error) {
-	opts.KeepRecords = false // records returned explicitly
 	b, err := core.New(e.app(appName), opts)
 	if err != nil {
 		return nil, nil, err

@@ -46,7 +46,10 @@ type PacketRecord struct {
 	// non-packet accesses: they are application state, like table data.
 	PacketReads, PacketWrites       uint64
 	NonPacketReads, NonPacketWrites uint64
-	// Blocks is the sorted set of basic blocks executed.
+	// Blocks is the sorted set of basic blocks executed. It is a
+	// capacity-clipped window of a collector slab chunk shared with
+	// other records, so a retained record keeps its whole chunk alive;
+	// an append to it reallocates rather than touch its neighbours.
 	Blocks []int
 	// Fault marks a quarantined packet: processing failed with this kind
 	// under a skip policy. A faulted record keeps its Index slot so the
@@ -76,15 +79,21 @@ type MemEvent struct {
 	Region   vm.Region
 }
 
+// slabInts is the size of one block-set slab chunk: 32 KiB of ints, so
+// a packet's set costs an allocation only once per chunk. A set larger
+// than a chunk gets its own exactly sized one.
+const slabInts = 4096
+
 // Collector accumulates workload statistics. It implements vm.Tracer.
+// It keeps no records itself: EndPacket and AbortPacket hand each
+// packet's record to the caller, whose block set is a window of the
+// collector's slab (see PacketRecord.Blocks).
 type Collector struct {
 	// Detail enables per-packet instruction and memory event traces
 	// (InstrTrace, MemTrace, BlockSeq), reset at BeginPacket.
 	Detail bool
 	// Coverage enables whole-run unique-address tracking (Table IV).
 	Coverage bool
-	// KeepRecords retains every packet's record in Records.
-	KeepRecords bool
 	// CountPCs enables per-instruction execution counters (PCCounts),
 	// the input for gprof-style annotated listings.
 	CountPCs bool
@@ -102,6 +111,10 @@ type Collector struct {
 
 	cur     PacketRecord
 	packets int
+	// slab is the chunk EndPacket carves block sets from: each record's
+	// Blocks is a capacity-clipped window of it, so appending to one
+	// record's set reallocates instead of writing into the next one's.
+	slab []int
 
 	// entries, when non-nil, is the block-entry record the untraced
 	// engine loops fill; EndPacket derives the record from it instead of
@@ -119,9 +132,6 @@ type Collector struct {
 	MemTrace   []MemEvent
 	// BlockSeq is the dynamic block entry sequence of the current packet.
 	BlockSeq []int
-
-	// Records holds one record per packet when KeepRecords is set.
-	Records []PacketRecord
 
 	// PCCounts[i] is how many times instruction i executed across the
 	// whole run (enabled by CountPCs).
@@ -214,7 +224,7 @@ func (c *Collector) EndPacket() PacketRecord {
 		c.summarize(c.entries)
 	}
 	// Gather the executed block set from the epoch stamps (ascending ids,
-	// hence sorted), into one slice sized by a counting pass.
+	// hence sorted), into a slab window sized by a counting pass.
 	nb := 0
 	for _, e := range c.seenBlock {
 		if e == c.epoch {
@@ -222,19 +232,19 @@ func (c *Collector) EndPacket() PacketRecord {
 		}
 	}
 	if nb > 0 {
-		blocks := make([]int, 0, nb)
+		if cap(c.slab)-len(c.slab) < nb {
+			c.slab = make([]int, 0, max(slabInts, nb))
+		}
+		start := len(c.slab)
 		for b, e := range c.seenBlock {
 			if e == c.epoch {
-				blocks = append(blocks, b)
+				c.slab = append(c.slab, b)
 			}
 		}
-		c.cur.Blocks = blocks
+		c.cur.Blocks = c.slab[start:len(c.slab):len(c.slab)]
 	}
 	rec := c.cur
 	c.packets++
-	if c.KeepRecords {
-		c.Records = append(c.Records, rec)
-	}
 	return rec
 }
 
@@ -338,9 +348,6 @@ func (c *Collector) AbortPacket(kind vm.FaultKind) PacketRecord {
 	c.settle()
 	rec := PacketRecord{Index: c.cur.Index, Fault: kind}
 	c.packets++
-	if c.KeepRecords {
-		c.Records = append(c.Records, rec)
-	}
 	return rec
 }
 

@@ -213,17 +213,10 @@ func TestCollectorCoverage(t *testing.T) {
 	}
 }
 
-func TestCollectorKeepRecords(t *testing.T) {
+func TestCollectorRecordIndexes(t *testing.T) {
 	h := newHarness(t, countingSrc)
-	h.col.KeepRecords = true
-	h.runPacket(t)
-	h.runPacket(t)
-	h.runPacket(t)
-	if len(h.col.Records) != 3 {
-		t.Fatalf("Records = %d", len(h.col.Records))
-	}
-	for i, r := range h.col.Records {
-		if r.Index != i {
+	for i := 0; i < 3; i++ {
+		if r := h.runPacket(t); r.Index != i {
 			t.Errorf("record %d has index %d", i, r.Index)
 		}
 	}
@@ -269,16 +262,43 @@ func TestExtractors(t *testing.T) {
 	}
 }
 
-// TestEndPacketAllocatesBlocksOnce pins the record's block set to one
-// exactly sized allocation per packet, not append growth from nil.
+// TestEndPacketAllocatesBlocksOnce pins the record's block set to an
+// exactly sized (capacity-clipped) window of a slab chunk, allocated once
+// per chunk rather than once per packet.
 func TestEndPacketAllocatesBlocksOnce(t *testing.T) {
 	h := newHarness(t, loopSrc)
 	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 5)
-	if rec := h.runPacket(t); len(rec.Blocks) < 3 || cap(rec.Blocks) != len(rec.Blocks) {
+	rec := h.runPacket(t)
+	if len(rec.Blocks) < 3 || cap(rec.Blocks) != len(rec.Blocks) {
 		t.Fatalf("Blocks %v (cap %d), want 3+ blocks in an exactly sized slice", rec.Blocks, cap(rec.Blocks))
 	}
-	if n := testing.AllocsPerRun(20, func() { h.runPacket(t) }); n != 1 {
-		t.Errorf("%v allocations per packet, want 1", n)
+	const packets = 10000
+	perChunk := slabInts / len(rec.Blocks)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < packets; i++ {
+			h.runPacket(t)
+		}
+	})
+	if limit := float64(packets/perChunk + 1); allocs > limit {
+		t.Errorf("%v allocations over %d packets, want at most %v (one per %d-int slab chunk)", allocs, packets, limit, slabInts)
+	}
+}
+
+// TestBlocksSlabAppendIsolated pins that records sharing a slab chunk
+// cannot see each other's appends: each record's Blocks is clipped to
+// its own length, so appending reallocates.
+func TestBlocksSlabAppendIsolated(t *testing.T) {
+	h := newHarness(t, loopSrc)
+	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 5)
+	recs := []PacketRecord{h.runPacket(t), h.runPacket(t), h.runPacket(t)}
+	next := append([]int(nil), recs[1].Blocks...)
+	recs[0].Blocks = append(recs[0].Blocks, -1, -2, -3)
+	if !reflect.DeepEqual(recs[1].Blocks, next) {
+		t.Errorf("append to record 0 changed record 1's blocks: %v, want %v", recs[1].Blocks, next)
+	}
+	h.runPacket(t)
+	if !reflect.DeepEqual(recs[1].Blocks, next) || !reflect.DeepEqual(recs[2].Blocks, next) {
+		t.Errorf("a later packet changed earlier records' blocks: %v, %v, want %v", recs[1].Blocks, recs[2].Blocks, next)
 	}
 }
 
@@ -449,7 +469,6 @@ func TestFaultedRecordsExcludedFromMeans(t *testing.T) {
 
 func TestAbortPacket(t *testing.T) {
 	h := newHarness(t, countingSrc)
-	h.col.KeepRecords = true
 	h.runPacket(t)
 	h.col.BeginPacket()
 	rec := h.col.AbortPacket(vm.FaultUnmapped)
@@ -462,11 +481,11 @@ func TestAbortPacket(t *testing.T) {
 	if h.col.Packets() != 2 {
 		t.Errorf("Packets() = %d, want 2 (quarantine keeps the slot)", h.col.Packets())
 	}
-	h.runPacket(t)
-	if len(h.col.Records) != 3 || h.col.Records[2].Index != 2 {
-		t.Fatalf("records after abort: %+v", h.col.Records)
+	next := h.runPacket(t)
+	if next.Index != 2 {
+		t.Fatalf("record after abort: %+v, want index 2", next)
 	}
-	if h.col.Records[2].Faulted() {
+	if next.Faulted() {
 		t.Error("packet after an abort inherited the fault mark")
 	}
 }
