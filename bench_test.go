@@ -498,18 +498,22 @@ func BenchmarkProcessPacketSmall(b *testing.B) {
 // streaming scheduler (Pool.RunTrace over a slice reader, the engine
 // behind every pool entry point) on the heaviest application
 // (IPv4-radix). The packets/sec metric should scale with the core count
-// up to the host's parallelism.
+// up to the host's parallelism. The cores=N rows pass no callback, so
+// the aggregator only counts; the callback row (2 cores) re-sequences
+// every result into trace order, as the CLI and RunPackets do, and its
+// B/op is the commit path's allocation.
 func BenchmarkPoolStreaming(b *testing.B) {
 	pkts, tbl := benchPackets(b)
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
+	run := func(name string, n int, onResult func(int, core.Result)) {
+		b.Run(name, func(b *testing.B) {
 			pool, err := core.NewPool(NewIPv4Radix(tbl), n, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pool.RunTrace(trace.NewSliceReader(pkts), 0, nil); err != nil {
+				if _, err := pool.RunTrace(trace.NewSliceReader(pkts), 0, onResult); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -519,6 +523,11 @@ func BenchmarkPoolStreaming(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{1, 2, 4, 8} {
+		run(fmt.Sprintf("cores=%d", n), n, nil)
+	}
+	var instrs uint64
+	run("callback", 2, func(_ int, r core.Result) { instrs += r.Record.Instructions })
 }
 
 // BenchmarkBenchRunTrace measures the single-core characterization

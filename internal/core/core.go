@@ -1016,6 +1016,10 @@ func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int, res *Result) 
 func (b *Bench) runGuarded() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			// A panic skips the untraced loops' exit bookkeeping, which
+			// publishes their packet-write watermark: treat the whole
+			// buffer as dirty, and the next placement zeroes all of it.
+			b.dirtyLen = MaxPacketLen
 			if f, ok := r.(*vm.Fault); ok {
 				err = f
 				return

@@ -202,10 +202,13 @@ func (p *Pool) RunPacketsContext(ctx context.Context, pkts []*trace.Packet, onRe
 }
 
 // poolJob is one contiguous run of trace packets handed to a worker by
-// the streaming scheduler: packet i of the trace is pkts[i-base].
+// the streaming scheduler: packet i of the trace is pkts[i-base], and its
+// result goes to res[i-base]. The two slices are a recycled buffer pair
+// (see free in runTrace), so workers never allocate.
 type poolJob struct {
 	base int
 	pkts []*trace.Packet
+	res  []Result
 	// pos is the reader's Seeker state captured right after this batch
 	// was read — the resume point of a checkpoint committing at
 	// base+len(pkts). nil when the run is not checkpointing.
@@ -218,17 +221,16 @@ type poolJob struct {
 	enq    int64
 }
 
-// poolResult carries a job's outcomes to the aggregator: res[k] is the
-// result for trace index base+k. On a core fault res holds the batch's
-// successful prefix (the fault itself goes to firstFailure directly).
-// shed > 0 marks a dropped batch: indexes [base, base+shed) were never
-// processed.
+// poolResult carries a job back to the aggregator, which re-sequences
+// whole batches: res[:done] holds the results for trace indexes
+// [base, base+done). done < len(pkts) marks a faulted or stopped batch
+// whose successful prefix still commits (the fault itself goes to
+// firstFailure directly). shed marks a batch dropped unprocessed: res
+// holds a Shed-marked result per packet, so it commits like any other.
 type poolResult struct {
-	base int
-	n    int // intended batch size (len of the job's pkts)
-	res  []Result
-	shed int
-	pos  []int64
+	poolJob
+	done int
+	shed bool
 }
 
 // runBoundTracer is implemented by extra tracers that want the run's
@@ -319,6 +321,11 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 	backlog := 4 * len(p.benches)
 	jobs := make(chan poolJob, backlog)
 	results := make(chan poolResult, len(p.benches))
+	// free returns committed batches' buffer pairs to the producer. It
+	// holds twice what can be queued, in a worker or in results at once:
+	// the re-sequencing window swings by about that much again, and a
+	// smaller list drops pairs the producer soon allocates afresh.
+	free := make(chan poolJob, 2*(backlog+2*len(p.benches)))
 	bud := newErrorBudget(p.benches[0].policy.ErrorBudget)
 	if ck != nil {
 		// The budget spans the whole logical run: quarantines and sheds
@@ -354,8 +361,11 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 		}
 		p.shedPkts.Add(uint64(len(j.pkts)))
 		p.trace.Producer().Shed(int64(j.base), len(j.pkts))
+		for k := range j.res {
+			j.res[k] = Result{Shed: true, Record: stats.PacketRecord{Index: j.base + k}}
+		}
 		select {
-		case results <- poolResult{base: j.base, n: len(j.pkts), shed: len(j.pkts), pos: j.pos}:
+		case results <- poolResult{poolJob: j, done: len(j.res), shed: true}:
 			return true
 		case <-ctx.Done():
 			return false
@@ -400,8 +410,9 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 	}
 
 	// Producer: read the trace in batches until EOF, the limit, an
-	// error, or cancellation. A fresh slice is allocated per job — the
-	// batch is owned by the worker from the moment it is sent.
+	// error, or cancellation. Each job reads into a buffer pair from the
+	// free list (a fresh pair when it is empty); the pair belongs to the
+	// job from the moment it is sent until the aggregator recycles it.
 	go func() {
 		defer close(jobs)
 		// With a tracer armed the producer reads through a timing
@@ -418,20 +429,28 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 			})
 		}
 		readFaults := 0
+		var buf poolJob // the buffer pair the next batch reads into
 		for base := start; limit <= 0 || base < limit; {
 			if stop.Load() {
 				return
+			}
+			if buf.pkts == nil {
+				select {
+				case buf = <-free:
+				default:
+					buf = poolJob{pkts: make([]*trace.Packet, p.batchSize), res: make([]Result, p.batchSize)}
+				}
 			}
 			size := p.batchSize
 			if limit > 0 && limit-base < size {
 				size = limit - base
 			}
-			dst := make([]*trace.Packet, size)
 			curBase = int64(base)
-			n, err := trace.ReadBatch(rd, dst)
+			n, err := trace.ReadBatch(rd, buf.pkts[:size])
 			if n > 0 {
 				readFaults = 0
-				j := poolJob{base: base, pkts: dst[:n]}
+				j := poolJob{base: base, pkts: buf.pkts[:n], res: buf.res[:n]}
+				buf = poolJob{}
 				if p.trace != nil {
 					j.readNS, j.enq = lastReadNS, p.trace.Now()
 				}
@@ -509,7 +528,7 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 				if b.lane != nil && j.enq != 0 {
 					b.lane.BatchStart(int64(j.base), len(j.pkts), j.readNS, p.trace.Now()-j.enq)
 				}
-				out := poolResult{base: j.base, n: len(j.pkts), pos: j.pos, res: make([]Result, 0, len(j.pkts))}
+				out := poolResult{poolJob: j}
 				for k, pkt := range j.pkts {
 					if stop.Load() {
 						break
@@ -518,23 +537,21 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 						wd.begin(c, j.base+k)
 					}
 					p.busy.Inc()
-					out.res = append(out.res, Result{})
-					res := &out.res[len(out.res)-1]
-					err := b.processUnderPolicy(j.base+k, pkt, bud, res)
+					err := b.processUnderPolicy(j.base+k, pkt, bud, &j.res[k])
 					p.busy.Dec()
 					if wd != nil {
 						wd.end(c)
 					}
 					if err != nil {
-						out.res = out.res[:len(out.res)-1]
 						fail.report(j.base+k, fmt.Errorf("core %d: %w", c, err))
 						stop.Store(true)
 						cancel()
 						break
 					}
-					res.Record.Index = j.base + k
+					j.res[k].Record.Index = j.base + k
+					out.done++
 				}
-				if len(out.res) > 0 {
+				if out.done > 0 {
 					select {
 					case results <- out:
 					case <-dead:
@@ -559,23 +576,25 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 		}
 	}()
 
-	// Aggregator (caller's goroutine): re-sequence out-of-order batches
-	// so onResult fires in strict trace order. The pending map is bounded
-	// by the job backlog plus in-flight batches. A faulted batch still
-	// contributes its successful prefix; a shed batch commits as a run of
-	// Shed-marked results, keeping the exactly-once index contract.
-	// Checkpoints are taken only when the in-order cursor reaches the end
-	// of a fully-committed batch, because that is the only point where
-	// "every packet below next is committed" and "the reader state
-	// resumes at next" are simultaneously true.
+	// Aggregator (caller's goroutine): re-sequence out-of-order batches,
+	// one pending entry per batch keyed by base, so onResult fires in
+	// strict trace order. A faulted batch commits its successful prefix
+	// and leaves next inside itself, where nothing else can commit; a
+	// shed batch commits its Shed-marked results, keeping the
+	// exactly-once index contract. A checkpoint is tried only at the end
+	// of a complete batch: the one point where "every packet below next
+	// is committed" and "the reader state resumes at next" both hold.
+	// Committed batches (all batches, when nothing tracks results)
+	// return their buffers to the free list; a full list drops them.
 	processed := 0
 	next := start
 	track := onResult != nil || ck != nil
-	pending := make(map[int]Result)
-	var shedAt map[int]int
-	var posAt map[int][]int64
-	if ck != nil {
-		posAt = make(map[int][]int64)
+	pending := make(map[int]poolResult)
+	recycle := func(j poolJob) {
+		select {
+		case free <- poolJob{pkts: j.pkts[:cap(j.pkts)], res: j.res[:cap(j.res)]}:
+		default:
+		}
 	}
 	var ckErr error
 aggregate:
@@ -592,55 +611,34 @@ aggregate:
 			// re-sequencing and let the run return the StallError.
 			break aggregate
 		}
-		processed += len(pr.res)
-		if posAt != nil && pr.pos != nil && (pr.shed > 0 || len(pr.res) == pr.n) {
-			// Only a complete batch's end is a valid resume point; a
-			// partial batch (fault, stop) never registers one.
-			posAt[pr.base+pr.n] = pr.pos
+		if !pr.shed {
+			processed += pr.done
 		}
 		if !track {
+			recycle(pr.poolJob)
 			continue
 		}
-		if pr.shed > 0 {
-			if shedAt == nil {
-				shedAt = make(map[int]int)
-			}
-			shedAt[pr.base] = pr.shed
-		}
-		for k, res := range pr.res {
-			pending[pr.base+k] = res
-		}
-		for {
-			if n, ok := shedAt[next]; ok {
-				delete(shedAt, next)
-				for end := next + n; next < end; next++ {
-					if onResult != nil {
-						onResult(next, Result{Shed: true, Record: stats.PacketRecord{Index: next}})
-					}
-				}
-			} else if res, ok := pending[next]; ok {
-				delete(pending, next)
+		pending[pr.base] = pr
+		for pr, ok := pending[next]; ok; pr, ok = pending[next] {
+			delete(pending, next)
+			for _, res := range pr.res[:pr.done] {
 				if onResult != nil {
 					onResult(next, res)
 				}
 				next++
-			} else {
-				break
 			}
-			if posAt != nil && ckErr == nil {
-				if pos, ok := posAt[next]; ok {
-					delete(posAt, next)
-					ckStart := p.trace.Now()
-					wrote, err := ck.maybeWrite(next, pos)
-					if err != nil {
-						ckErr = err
-						fail.report(next, err)
-						stop.Store(true)
-						cancel()
-					} else if wrote {
-						p.ckpts.Inc()
-						p.trace.Committer().Checkpoint(int64(next), ckStart, p.trace.Now()-ckStart)
-					}
+			recycle(pr.poolJob)
+			if pr.pos != nil && pr.done == len(pr.pkts) && ckErr == nil {
+				ckStart := p.trace.Now()
+				wrote, err := ck.maybeWrite(next, pr.pos)
+				if err != nil {
+					ckErr = err
+					fail.report(next, err)
+					stop.Store(true)
+					cancel()
+				} else if wrote {
+					p.ckpts.Inc()
+					p.trace.Committer().Checkpoint(int64(next), ckStart, p.trace.Now()-ckStart)
 				}
 			}
 		}

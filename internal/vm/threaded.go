@@ -772,13 +772,6 @@ func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopRea
 	n := uint32(len(ops))
 	pktHigh := c.packetWriteHigh
 	ec := c.Entries
-	defer func() { //pblint:allow — once per run, not per dispatch
-		c.steps += steps
-		if pktHigh > c.packetWriteHigh {
-			c.packetWriteHigh = pktHigh
-		}
-	}()
-
 	pcv := c.PC // pending control-transfer target, when idx < 0
 	idx := -1   // entry instruction index, when >= 0 (already validated in-text)
 outer:
@@ -789,22 +782,26 @@ outer:
 			// matches the interpreter: return address, budget, fetch.
 			if pcv == ReturnAddress {
 				c.PC = pcv
-				return steps, StopReturn, nil
+				reason = StopReturn
+				break outer
 			}
 			if steps >= maxSteps {
 				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultStepLimit, PC: pcv}
+				rerr = &Fault{Kind: FaultStepLimit, PC: pcv}
+				break outer
 			}
 			off := pcv - textBase
 			if off%isa.WordSize != 0 || off/isa.WordSize >= n {
 				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultBadFetch, PC: pcv}
+				rerr = &Fault{Kind: FaultBadFetch, PC: pcv}
+				break outer
 			}
 			idx = int(off / isa.WordSize)
 		} else if steps >= maxSteps {
 			pc := textBase + uint32(idx)*isa.WordSize
 			c.PC = pc
-			return steps, 0, &Fault{Kind: FaultStepLimit, PC: pc}
+			rerr = &Fault{Kind: FaultStepLimit, PC: pc}
+			break outer
 		}
 
 		if ec != nil {
@@ -879,7 +876,8 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					break outer
 				}
 				if ec != nil {
 					ec.touch(r, false, addr)
@@ -894,7 +892,8 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					break outer
 				}
 				if ec != nil {
 					ec.touch(r, false, addr)
@@ -909,7 +908,8 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, f
+					rerr = f
+					break outer
 				}
 				if ec != nil {
 					ec.touch(r, false, addr)
@@ -924,7 +924,8 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, f
+					rerr = f
+					break outer
 				}
 				if ec != nil {
 					ec.touch(r, false, addr)
@@ -939,7 +940,8 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, f
+					rerr = f
+					break outer
 				}
 				if ec != nil {
 					ec.touch(r, false, addr)
@@ -955,7 +957,8 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
+					rerr = storeFault(region, pc, addr)
+					break outer
 				}
 				if ec != nil {
 					ec.touch(region, true, addr)
@@ -971,14 +974,16 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					break outer
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
+					rerr = storeFault(region, pc, addr)
+					break outer
 				}
 				if ec != nil {
 					ec.touch(region, true, addr)
@@ -995,14 +1000,16 @@ outer:
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					break outer
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
 					ec.cut(idx, j+1)
 					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
+					rerr = storeFault(region, pc, addr)
+					break outer
 				}
 				if ec != nil {
 					ec.touch(region, true, addr)
@@ -1070,12 +1077,14 @@ outer:
 			case uHALT:
 				steps += uint64(j-idx) + 1
 				c.PC = pc
-				return steps, StopHalt, nil
+				reason = StopHalt
+				break outer
 			case uBAD:
 				steps += uint64(j-idx) + 1
 				ec.cut(idx, j+1)
 				c.PC = pc
-				return steps, 0, &Fault{Kind: FaultBadInstr, PC: pc}
+				rerr = &Fault{Kind: FaultBadInstr, PC: pc}
+				break outer
 			}
 			pc += isa.WordSize
 		}
@@ -1090,6 +1099,14 @@ outer:
 			idx, pcv = -1, textBase+uint32(end)*isa.WordSize
 		}
 	}
+	// The run-exit bookkeeping sits here, not in a defer: every stop
+	// path breaks out of the loop, and a defer would cost each packet
+	// a deferred-call record.
+	c.steps += steps
+	if pktHigh > c.packetWriteHigh {
+		c.packetWriteHigh = pktHigh
+	}
+	return steps, reason, rerr
 }
 
 // runFused is the untraced dispatch loop for proof-guided programs
@@ -1110,13 +1127,6 @@ func (c *CPU) runFused(p *Program, maxSteps uint64) (steps uint64, reason StopRe
 	n := uint32(len(ops))
 	pktHigh := c.packetWriteHigh
 	ec := c.Entries
-	defer func() { //pblint:allow — once per run, not per dispatch
-		c.steps += steps
-		if pktHigh > c.packetWriteHigh {
-			c.packetWriteHigh = pktHigh
-		}
-	}()
-
 	pcv := c.PC // pending control-transfer target, when idx < 0
 	idx := -1   // entry instruction index, when >= 0 (already validated in-text)
 outer:
@@ -1127,22 +1137,26 @@ outer:
 			// matches the interpreter: return address, budget, fetch.
 			if pcv == ReturnAddress {
 				c.PC = pcv
-				return steps, StopReturn, nil
+				reason = StopReturn
+				break outer
 			}
 			if steps >= maxSteps {
 				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultStepLimit, PC: pcv}
+				rerr = &Fault{Kind: FaultStepLimit, PC: pcv}
+				break outer
 			}
 			off := pcv - textBase
 			if off%isa.WordSize != 0 || off/isa.WordSize >= n {
 				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultBadFetch, PC: pcv}
+				rerr = &Fault{Kind: FaultBadFetch, PC: pcv}
+				break outer
 			}
 			idx = int(off / isa.WordSize)
 		} else if steps >= maxSteps {
 			pc := textBase + uint32(idx)*isa.WordSize
 			c.PC = pc
-			return steps, 0, &Fault{Kind: FaultStepLimit, PC: pc}
+			rerr = &Fault{Kind: FaultStepLimit, PC: pc}
+			break outer
 		}
 
 		if ec != nil {
@@ -1225,7 +1239,8 @@ outer:
 				if r == RegionNone || r == RegionText {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					break outer
 				}
 				if ec != nil {
 					ec.access(r, false)
@@ -1239,7 +1254,8 @@ outer:
 				if r == RegionNone || r == RegionText {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+					break outer
 				}
 				if ec != nil {
 					ec.access(r, false)
@@ -1253,7 +1269,8 @@ outer:
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, f
+					rerr = f
+					break outer
 				}
 				if ec != nil {
 					ec.access(r, false)
@@ -1267,7 +1284,8 @@ outer:
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, f
+					rerr = f
+					break outer
 				}
 				if ec != nil {
 					ec.access(r, false)
@@ -1281,7 +1299,8 @@ outer:
 				if f != nil {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, f
+					rerr = f
+					break outer
 				}
 				if ec != nil {
 					ec.access(r, false)
@@ -1296,7 +1315,8 @@ outer:
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
+					rerr = storeFault(region, pc, addr)
+					break outer
 				}
 				if ec != nil {
 					ec.access(region, true)
@@ -1311,13 +1331,15 @@ outer:
 				if addr&1 != 0 {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					break outer
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
+					rerr = storeFault(region, pc, addr)
+					break outer
 				}
 				if ec != nil {
 					ec.access(region, true)
@@ -1333,13 +1355,15 @@ outer:
 				if addr&3 != 0 {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					rerr = &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+					break outer
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
 					steps += uint64(j-idx) + 1
 					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
+					rerr = storeFault(region, pc, addr)
+					break outer
 				}
 				if ec != nil {
 					ec.access(region, true)
@@ -1407,11 +1431,13 @@ outer:
 			case uHALT:
 				steps += uint64(j-idx) + 1
 				c.PC = pc
-				return steps, StopHalt, nil
+				reason = StopHalt
+				break outer
 			case uBAD:
 				steps += uint64(j-idx) + 1
 				c.PC = pc
-				return steps, 0, &Fault{Kind: FaultBadInstr, PC: pc}
+				rerr = &Fault{Kind: FaultBadInstr, PC: pc}
+				break outer
 
 			// Proof-guided micro-ops (emitted only by TranslateWithFacts;
 			// the plain body run under budget truncation never contains
@@ -1420,15 +1446,15 @@ outer:
 			// region for the page-cache slot. Proven loads with rd==zero
 			// were folded to uNOP, so the write-back is unconditional.
 			case uULB:
-				regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15]+op.imm))))
+				regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15] + op.imm))))
 			case uULBU:
-				regs[op.rd&15] = uint32(c.cachedRead8(regs[op.rs1&15]+op.imm))
+				regs[op.rd&15] = uint32(c.cachedRead8(regs[op.rs1&15] + op.imm))
 			case uULH:
-				regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15]+op.imm))))
+				regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15] + op.imm))))
 			case uULHU:
-				regs[op.rd&15] = uint32(c.cachedRead16(regs[op.rs1&15]+op.imm))
+				regs[op.rd&15] = uint32(c.cachedRead16(regs[op.rs1&15] + op.imm))
 			case uULW:
-				regs[op.rd&15] = c.cachedRead32(regs[op.rs1&15]+op.imm)
+				regs[op.rd&15] = c.cachedRead32(regs[op.rs1&15] + op.imm)
 			case uUSB:
 				addr := regs[op.rs1&15] + op.imm
 				r := Region(op.rs2)
@@ -1724,6 +1750,12 @@ outer:
 			idx, pcv = -1, textBase+uint32(end)*isa.WordSize
 		}
 	}
+	// Run-exit bookkeeping, as in runFast.
+	c.steps += steps
+	if pktHigh > c.packetWriteHigh {
+		c.packetWriteHigh = pktHigh
+	}
+	return steps, reason, rerr
 }
 
 // Generic fused-pair bodies, outlined from runFused (see the comment at
@@ -1804,15 +1836,15 @@ func (c *CPU) fusedAluLd(op *microOp, x *fusedExt, regs *[16]uint32) {
 	var v2 uint32
 	switch x.op2 {
 	case uLB:
-		v2 = uint32(int32(int8(c.cachedRead8(regs[x.rs3&15]+x.imm2))))
+		v2 = uint32(int32(int8(c.cachedRead8(regs[x.rs3&15] + x.imm2))))
 	case uLBU:
-		v2 = uint32(c.cachedRead8(regs[x.rs3&15]+x.imm2))
+		v2 = uint32(c.cachedRead8(regs[x.rs3&15] + x.imm2))
 	case uLH:
-		v2 = uint32(int32(int16(c.cachedRead16(regs[x.rs3&15]+x.imm2))))
+		v2 = uint32(int32(int16(c.cachedRead16(regs[x.rs3&15] + x.imm2))))
 	case uLHU:
-		v2 = uint32(c.cachedRead16(regs[x.rs3&15]+x.imm2))
+		v2 = uint32(c.cachedRead16(regs[x.rs3&15] + x.imm2))
 	default: // uLW
-		v2 = c.cachedRead32(regs[x.rs3&15]+x.imm2)
+		v2 = c.cachedRead32(regs[x.rs3&15] + x.imm2)
 	}
 	if x.rd2 != 0 {
 		regs[x.rd2&15] = v2
@@ -1871,15 +1903,15 @@ func (c *CPU) fusedLdAlu(op *microOp, x *fusedExt, regs *[16]uint32) {
 	var v uint32
 	switch x.op1 {
 	case uLB:
-		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15] + op.imm))))
 	case uLBU:
-		v = uint32(c.cachedRead8(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead8(regs[op.rs1&15] + op.imm))
 	case uLH:
-		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15] + op.imm))))
 	case uLHU:
-		v = uint32(c.cachedRead16(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead16(regs[op.rs1&15] + op.imm))
 	default: // uLW
-		v = c.cachedRead32(regs[op.rs1&15]+op.imm)
+		v = c.cachedRead32(regs[op.rs1&15] + op.imm)
 	}
 	if op.rd != 0 {
 		regs[op.rd&15] = v
@@ -1912,15 +1944,15 @@ func (c *CPU) fusedLdBr(op *microOp, x *fusedExt, regs *[16]uint32) bool {
 	var v uint32
 	switch x.op1 {
 	case uLB:
-		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15] + op.imm))))
 	case uLBU:
-		v = uint32(c.cachedRead8(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead8(regs[op.rs1&15] + op.imm))
 	case uLH:
-		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15] + op.imm))))
 	case uLHU:
-		v = uint32(c.cachedRead16(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead16(regs[op.rs1&15] + op.imm))
 	default: // uLW
-		v = c.cachedRead32(regs[op.rs1&15]+op.imm)
+		v = c.cachedRead32(regs[op.rs1&15] + op.imm)
 	}
 	if op.rd != 0 {
 		regs[op.rd&15] = v
@@ -1932,15 +1964,15 @@ func (c *CPU) fusedLdLd(op *microOp, x *fusedExt, regs *[16]uint32) {
 	var v uint32
 	switch x.op1 {
 	case uLB:
-		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15] + op.imm))))
 	case uLBU:
-		v = uint32(c.cachedRead8(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead8(regs[op.rs1&15] + op.imm))
 	case uLH:
-		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15] + op.imm))))
 	case uLHU:
-		v = uint32(c.cachedRead16(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead16(regs[op.rs1&15] + op.imm))
 	default: // uLW
-		v = c.cachedRead32(regs[op.rs1&15]+op.imm)
+		v = c.cachedRead32(regs[op.rs1&15] + op.imm)
 	}
 	if op.rd != 0 {
 		regs[op.rd&15] = v
@@ -1948,15 +1980,15 @@ func (c *CPU) fusedLdLd(op *microOp, x *fusedExt, regs *[16]uint32) {
 	var v2 uint32
 	switch x.op2 {
 	case uLB:
-		v2 = uint32(int32(int8(c.cachedRead8(regs[x.rs3&15]+x.imm2))))
+		v2 = uint32(int32(int8(c.cachedRead8(regs[x.rs3&15] + x.imm2))))
 	case uLBU:
-		v2 = uint32(c.cachedRead8(regs[x.rs3&15]+x.imm2))
+		v2 = uint32(c.cachedRead8(regs[x.rs3&15] + x.imm2))
 	case uLH:
-		v2 = uint32(int32(int16(c.cachedRead16(regs[x.rs3&15]+x.imm2))))
+		v2 = uint32(int32(int16(c.cachedRead16(regs[x.rs3&15] + x.imm2))))
 	case uLHU:
-		v2 = uint32(c.cachedRead16(regs[x.rs3&15]+x.imm2))
+		v2 = uint32(c.cachedRead16(regs[x.rs3&15] + x.imm2))
 	default: // uLW
-		v2 = c.cachedRead32(regs[x.rs3&15]+x.imm2)
+		v2 = c.cachedRead32(regs[x.rs3&15] + x.imm2)
 	}
 	if x.rd2 != 0 {
 		regs[x.rd2&15] = v2
@@ -1967,15 +1999,15 @@ func (c *CPU) fusedLdSt(op *microOp, x *fusedExt, regs *[16]uint32) (hi uint32) 
 	var v uint32
 	switch x.op1 {
 	case uLB:
-		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15] + op.imm))))
 	case uLBU:
-		v = uint32(c.cachedRead8(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead8(regs[op.rs1&15] + op.imm))
 	case uLH:
-		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15]+op.imm))))
+		v = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15] + op.imm))))
 	case uLHU:
-		v = uint32(c.cachedRead16(regs[op.rs1&15]+op.imm))
+		v = uint32(c.cachedRead16(regs[op.rs1&15] + op.imm))
 	default: // uLW
-		v = c.cachedRead32(regs[op.rs1&15]+op.imm)
+		v = c.cachedRead32(regs[op.rs1&15] + op.imm)
 	}
 	if op.rd != 0 {
 		regs[op.rd&15] = v
